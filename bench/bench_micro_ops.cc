@@ -172,9 +172,12 @@ void BM_GreedyGrouping(benchmark::State& state) {
   }
   cost::ClusterConfig config;
   cost::StatsCatalog catalog;
-  cost::CostEstimator est(config, cost::CostModelVariant::kGumbo, &w->db,
-                          &catalog, 128);
   for (auto _ : state) {
+    // A fresh estimator per iteration: it memoizes skew regimes and
+    // sampled map output, so one built outside the loop would time only
+    // memo hits after the first iteration — not what one Plan call pays.
+    cost::CostEstimator est(config, cost::CostModelVariant::kGumbo, &w->db,
+                            &catalog, 128);
     auto g = plan::GreedyBsgfGrouping(eqs, ops::OpOptions{}, est);
     benchmark::DoNotOptimize(g);
   }

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <vector>
 
 namespace gumbo::cost {
 
@@ -50,15 +50,23 @@ SkewRegime ClassifyKeySkew(const Relation& rel, size_t sample_cap) {
   const size_t n = rel.size();
   if (n == 0 || rel.arity() == 0) return SkewRegime::kUniform;
   const size_t s = std::min(sample_cap, n);
-  std::map<uint64_t, size_t> counts;
-  size_t top = 0;
+  std::vector<uint64_t> keys(s);
   for (size_t k = 0; k < s; ++k) {
-    const size_t idx = k * n / s;  // stride sample, deterministic
-    const size_t c = ++counts[rel.view(idx).words()[0]];
-    top = std::max(top, c);
+    keys[k] = rel.view(k * n / s).words()[0];  // stride sample, deterministic
+  }
+  // Equal keys are adjacent once sorted: each run is one distinct value.
+  std::sort(keys.begin(), keys.end());
+  size_t top = 0;
+  size_t runs = 0;
+  for (size_t i = 0; i < s;) {
+    size_t j = i + 1;
+    while (j < s && keys[j] == keys[i]) ++j;
+    top = std::max(top, j - i);
+    ++runs;
+    i = j;
   }
   const double share = static_cast<double>(top) / static_cast<double>(s);
-  const double distinct = static_cast<double>(counts.size());
+  const double distinct = static_cast<double>(runs);
   if (share >= 0.20) return SkewRegime::kHeavy;
   if (share >= std::max(0.04, 8.0 / distinct)) return SkewRegime::kModerate;
   return SkewRegime::kUniform;

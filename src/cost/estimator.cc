@@ -15,14 +15,9 @@ constexpr double kMbPerByte = 1.0 / (1024.0 * 1024.0);
 
 }  // namespace
 
-Result<RelationStats> CostEstimator::StatsOf(const std::string& name) const {
+Result<RelationStats> CostEstimator::StatsOf(const std::string& name) {
   if (db_ != nullptr && db_->Contains(name)) {
-    const Relation* rel = db_->Get(name).value();
-    RelationStats stats;
-    stats.tuples = rel->RepresentedRecords();
-    stats.bytes_per_tuple = rel->bytes_per_tuple();
-    stats.regime = ClassifyKeySkew(*rel);
-    return stats;
+    return MaterializedStats(name, *db_->Get(name).value());
   }
   if (catalog_ == nullptr) {
     return Status::NotFound("stats for " + name + " (no catalog)");
@@ -30,9 +25,48 @@ Result<RelationStats> CostEstimator::StatsOf(const std::string& name) const {
   return catalog_->Get(name);
 }
 
+const RelationStats& CostEstimator::MaterializedStats(const std::string& name,
+                                                      const Relation& rel) {
+  auto it = stats_memo_.find(name);
+  if (it == stats_memo_.end()) {
+    RelationStats stats;
+    stats.tuples = rel.RepresentedRecords();
+    stats.bytes_per_tuple = rel.bytes_per_tuple();
+    stats.regime = ClassifyKeySkew(rel);
+    it = stats_memo_.emplace(name, stats).first;
+  }
+  return it->second;
+}
+
+CostEstimator::SampledOutput CostEstimator::SampleMapOutput(
+    const mr::JobSpec& job, size_t input_index, const Relation& rel) {
+  const mr::JobInput& input = job.inputs[input_index];
+  std::tuple<std::string, bool, std::string> key;
+  if (!input.signature.empty()) {
+    key = {input.dataset, job.pack_messages, input.signature};
+    auto it = sample_memo_.find(key);
+    if (it != sample_memo_.end()) return it->second;
+  }
+  const size_t n = rel.size();
+  const size_t s = std::min(sample_size_, n);
+  auto mapper = job.mapper_factory();
+  mr::MapOutputBuffer emitter;
+  for (size_t k = 0; k < s; ++k) {
+    size_t idx = k * n / s;  // stride sample, deterministic
+    mapper->Map(input_index, rel.view(idx), static_cast<uint64_t>(idx),
+                &emitter);
+  }
+  // Account packing the way the shuffle would within a task: the flat
+  // buffer already grouped by key, so this is a read-off, not a regroup.
+  SampledOutput out;
+  emitter.AccountWire(job.pack_messages, &out.wire_bytes, &out.records);
+  if (!input.signature.empty()) sample_memo_.emplace(std::move(key), out);
+  return out;
+}
+
 Result<MapPartition> CostEstimator::EstimateInput(const mr::JobSpec& job,
                                                   size_t input_index,
-                                                  InputEstimateTag* tag) const {
+                                                  InputEstimateTag* tag) {
   const mr::JobInput& input = job.inputs[input_index];
   MapPartition p;
   tag->dataset = input.dataset;
@@ -41,7 +75,7 @@ Result<MapPartition> CostEstimator::EstimateInput(const mr::JobSpec& job,
   if (db_ != nullptr && db_->Contains(input.dataset)) {
     const Relation* rel = db_->Get(input.dataset).value();
     tag->channel = Channel::kSampledOutput;
-    tag->regime = ClassifyKeySkew(*rel);
+    tag->regime = MaterializedStats(input.dataset, *rel).regime;
     p.input_mb = rel->SizeMb();
     p.num_mappers = std::max(
         1, static_cast<int>(std::ceil(p.input_mb / config_.split_mb)));
@@ -49,23 +83,13 @@ Result<MapPartition> CostEstimator::EstimateInput(const mr::JobSpec& job,
     size_t n = rel->size();
     if (n == 0 || !job.mapper_factory) return p;
     size_t s = std::min(sample_size_, n);
-    auto mapper = job.mapper_factory();
-    mr::MapOutputBuffer emitter;
-    for (size_t k = 0; k < s; ++k) {
-      size_t idx = k * n / s;  // stride sample, deterministic
-      mapper->Map(input_index, rel->view(idx),
-                  static_cast<uint64_t>(idx), &emitter);
-    }
-    // Account packing the way the shuffle would within a task: the flat
-    // buffer already grouped by key, so this is a read-off, not a regroup.
-    double wire_bytes = 0.0;
-    size_t record_count = 0;
-    emitter.AccountWire(job.pack_messages, &wire_bytes, &record_count);
-    double records = static_cast<double>(record_count);
+    const SampledOutput sampled = SampleMapOutput(job, input_index, *rel);
+    double records = static_cast<double>(sampled.records);
     double blowup = static_cast<double>(n) / static_cast<double>(s) *
                     rel->representation_scale();
-    p.output_mb = wire_bytes * blowup * job.intermediate_overhead_factor *
-                  kMbPerByte * Factor(Channel::kSampledOutput, tag->regime);
+    p.output_mb = sampled.wire_bytes * blowup *
+                  job.intermediate_overhead_factor * kMbPerByte *
+                  Factor(Channel::kSampledOutput, tag->regime);
     p.metadata_mb = records * blowup *
                     config_.costs.metadata_bytes_per_record * kMbPerByte;
     tag->output_mb = p.output_mb;
@@ -99,7 +123,7 @@ Result<MapPartition> CostEstimator::EstimateInput(const mr::JobSpec& job,
 }
 
 Result<JobEstimate> CostEstimator::EstimateJob(
-    const mr::JobSpec& job, double output_mb_upper_bound) const {
+    const mr::JobSpec& job, double output_mb_upper_bound) {
   JobEstimate est;
   est.partitions.reserve(job.inputs.size());
   est.input_tags.reserve(job.inputs.size());

@@ -17,6 +17,8 @@
 
 #include <map>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/relation.h"
 #include "common/result.h"
@@ -83,6 +85,13 @@ struct JobEstimate {
   bool bound_defaulted = false;  ///< K defaulted to summed input sizes
 };
 
+/// Estimates are memoized for the estimator's lifetime, which is why its
+/// methods are non-const and one estimator must not be shared across
+/// threads: the stats of each materialized relation (its skew regime is
+/// classified once) and the raw sampled map output per (dataset,
+/// pack_messages, JobInput::signature). The database must therefore not
+/// change while the estimator lives — a planner builds one per Plan call
+/// (DESIGN.md §10). The catalog may change; its entries are never cached.
 class CostEstimator {
  public:
   /// `db` supplies materialized relations for sampling; `catalog` supplies
@@ -108,18 +117,35 @@ class CostEstimator {
   /// Estimates the cost of running `job`. `output_mb_upper_bound` is the
   /// planner's bound on K (pass < 0 to default to the summed input sizes).
   Result<JobEstimate> EstimateJob(const mr::JobSpec& job,
-                                  double output_mb_upper_bound = -1.0) const;
+                                  double output_mb_upper_bound = -1.0);
 
   /// Stats for a dataset: from the materialized relation when available,
   /// otherwise from the catalog.
-  Result<RelationStats> StatsOf(const std::string& name) const;
+  Result<RelationStats> StatsOf(const std::string& name);
 
  private:
+  /// The map output of a stride sample, before any scaling: calibration
+  /// and overhead factors apply after the memo lookup, so a memoized
+  /// estimate is bit-identical to a fresh one.
+  struct SampledOutput {
+    double wire_bytes = 0.0;
+    size_t records = 0;
+  };
+
+  /// Stats of a materialized relation, computed once per estimator.
+  const RelationStats& MaterializedStats(const std::string& name,
+                                         const Relation& rel);
+
+  /// Runs the job's mapper on a stride sample of input `input_index`
+  /// (materialized as `rel`), memoized when the input has a signature.
+  SampledOutput SampleMapOutput(const mr::JobSpec& job, size_t input_index,
+                                const Relation& rel);
+
   /// Per-input (N, M, Mhat, mappers) via map-function sampling or catalog
   /// fallback. Fills `tag` with the estimate's provenance.
   Result<MapPartition> EstimateInput(const mr::JobSpec& job,
                                      size_t input_index,
-                                     InputEstimateTag* tag) const;
+                                     InputEstimateTag* tag);
 
   double Factor(Channel channel, SkewRegime regime) const {
     return calibration_ != nullptr ? calibration_->Factor(channel, regime)
@@ -132,6 +158,10 @@ class CostEstimator {
   const StatsCatalog* catalog_;
   size_t sample_size_;
   const CalibrationStore* calibration_;
+  std::map<std::string, RelationStats> stats_memo_;
+  /// Keyed by (dataset, pack_messages, JobInput::signature).
+  std::map<std::tuple<std::string, bool, std::string>, SampledOutput>
+      sample_memo_;
 };
 
 }  // namespace gumbo::cost

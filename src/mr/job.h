@@ -112,6 +112,14 @@ struct JobInput {
   /// fill these with structural upper bounds.
   double hint_messages_per_tuple = 1.0;
   double hint_bytes_per_message = -1.0;  ///< <0: assume input tuple size
+  /// Canonical form of what the mapper emits for this input. Jobs over
+  /// the same dataset with equal non-empty signatures and equal
+  /// pack_messages emit the same wire bytes and records for every fact,
+  /// so the cost estimator samples that pair once per planning call
+  /// (DESIGN.md §10). It must capture everything the mapper's output on
+  /// this input depends on, with no filters attached; empty (the
+  /// default) promises nothing and is never memoized.
+  std::string signature{};
 };
 
 struct JobOutput {

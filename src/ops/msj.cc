@@ -232,10 +232,15 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
 
   // Inputs plus estimator hints: per input, the (upper-bound) message
   // count per tuple and the average message wire size, derived from the
-  // equations routed to it.
+  // equations routed to it. The signature lists the same routing: the
+  // payload mode, then each equation's role and atom canonicalized
+  // against its key — which facts conform, the key they project to and
+  // the request payload width. Output names and equation indices stay
+  // out: they never change the wire bytes or records a fact emits.
   for (size_t i = 0; i < inputs.size(); ++i) {
     mr::JobInput in;
     in.dataset = inputs[i];
+    in.signature = options.tuple_id_refs ? "tid" : "tuple";
     double msgs = 0.0;
     double bytes = 0.0;
     for (size_t ei : compiled->guard_eqs_of_input[i]) {
@@ -243,12 +248,14 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
       msgs += 1.0;
       bytes += 10.0 * static_cast<double>(eq.key_vars.size()) +
                RequestWireBytes(eq.payload_bytes);
+      in.signature += ";G:" + eq.guard.ConditionSignature(eq.key_vars);
     }
     for (size_t ei : compiled->cond_eqs_of_input[i]) {
       const auto& eq = compiled->equations[ei];
       msgs += 1.0;
       bytes += 10.0 * static_cast<double>(eq.key_vars.size()) +
                AssertWireBytes();
+      in.signature += ";C:" + eq.conditional.ConditionSignature(eq.key_vars);
     }
     in.hint_messages_per_tuple = msgs;
     in.hint_bytes_per_message = msgs > 0.0 ? bytes / msgs : 0.0;

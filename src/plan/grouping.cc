@@ -23,7 +23,7 @@ std::string Grouping::ToString() const {
 Result<double> EstimateGroupCost(
     const std::vector<ops::SemiJoinEquation>& equations,
     const std::vector<size_t>& group, const ops::OpOptions& options,
-    const cost::CostEstimator& estimator) {
+    cost::CostEstimator& estimator) {
   std::vector<ops::SemiJoinEquation> subset;
   subset.reserve(group.size());
   for (size_t i : group) subset.push_back(equations[i]);
@@ -52,7 +52,7 @@ class GroupCostCache {
  public:
   GroupCostCache(const std::vector<ops::SemiJoinEquation>& equations,
                  const ops::OpOptions& options,
-                 const cost::CostEstimator& estimator)
+                 cost::CostEstimator& estimator)
       : equations_(equations), options_(options), estimator_(estimator) {}
 
   Result<double> Cost(uint64_t mask) {
@@ -71,7 +71,7 @@ class GroupCostCache {
  private:
   const std::vector<ops::SemiJoinEquation>& equations_;
   const ops::OpOptions& options_;
-  const cost::CostEstimator& estimator_;
+  cost::CostEstimator& estimator_;
   std::map<uint64_t, double> cache_;
 };
 
@@ -79,7 +79,7 @@ class GroupCostCache {
 
 Result<Grouping> GreedyBsgfGrouping(
     const std::vector<ops::SemiJoinEquation>& equations,
-    const ops::OpOptions& options, const cost::CostEstimator& estimator) {
+    const ops::OpOptions& options, cost::CostEstimator& estimator) {
   const size_t n = equations.size();
   if (n == 0) return Status::InvalidArgument("grouping: no equations");
   if (n > 63) return Status::OutOfRange("grouping: more than 63 equations");
@@ -175,7 +175,7 @@ Status EnumeratePartitions(size_t i, size_t n, std::vector<uint64_t>* groups,
 
 Result<Grouping> OptimalGrouping(
     const std::vector<ops::SemiJoinEquation>& equations,
-    const ops::OpOptions& options, const cost::CostEstimator& estimator,
+    const ops::OpOptions& options, cost::CostEstimator& estimator,
     size_t max_n) {
   const size_t n = equations.size();
   if (n == 0) return Status::InvalidArgument("grouping: no equations");

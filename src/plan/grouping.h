@@ -35,18 +35,18 @@ struct Grouping {
 Result<double> EstimateGroupCost(
     const std::vector<ops::SemiJoinEquation>& equations,
     const std::vector<size_t>& group, const ops::OpOptions& options,
-    const cost::CostEstimator& estimator);
+    cost::CostEstimator& estimator);
 
 /// The paper's Greedy-BSGF heuristic.
 Result<Grouping> GreedyBsgfGrouping(
     const std::vector<ops::SemiJoinEquation>& equations,
-    const ops::OpOptions& options, const cost::CostEstimator& estimator);
+    const ops::OpOptions& options, cost::CostEstimator& estimator);
 
 /// Exhaustive optimum over all set partitions. Fails with OutOfRange when
 /// n exceeds `max_n`.
 Result<Grouping> OptimalGrouping(
     const std::vector<ops::SemiJoinEquation>& equations,
-    const ops::OpOptions& options, const cost::CostEstimator& estimator,
+    const ops::OpOptions& options, cost::CostEstimator& estimator,
     size_t max_n = 12);
 
 }  // namespace gumbo::plan

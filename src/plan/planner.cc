@@ -74,11 +74,26 @@ namespace {
 
 // Planning context threaded through batch planners.
 struct PlanContext {
-  const sgf::SgfQuery* query = nullptr;
-  const Database* db = nullptr;
-  const cost::ClusterConfig* config = nullptr;
-  const PlannerOptions* options = nullptr;
+  PlanContext(const sgf::SgfQuery& q, const Database& d,
+              const cost::ClusterConfig& c, const PlannerOptions& o)
+      : query(&q),
+        db(&d),
+        config(&c),
+        options(&o),
+        estimator(c, o.cost_variant, &d, &catalog, o.sample_size,
+                  o.calibration) {}
+  // `estimator` points at `catalog`, so a copy would read the original's.
+  PlanContext(const PlanContext&) = delete;
+  PlanContext& operator=(const PlanContext&) = delete;
+
+  const sgf::SgfQuery* query;
+  const Database* db;
+  const cost::ClusterConfig* config;
+  const PlannerOptions* options;
   cost::StatsCatalog catalog;  // declared stats for produced datasets
+  // Every estimate of this Plan call goes through one estimator, so each
+  // skew regime and sampled map output is computed once (DESIGN.md §10).
+  cost::CostEstimator estimator;
   QueryPlan plan;
   size_t name_counter = 0;
 
@@ -98,30 +113,19 @@ struct PlanContext {
 // bounded by the guard size). Each produced dataset inherits its guard's
 // key-skew regime — a semi-join output is a subset of the guard, so its
 // skew is the guard's (DESIGN.md §10).
-Status RegisterProducedStats(const sgf::SgfQuery& query, const Database& db,
-                             cost::StatsCatalog* catalog) {
-  std::map<std::string, double> tuple_bound;
-  std::map<std::string, cost::SkewRegime> regime_of;
-  for (const auto& q : query.subqueries()) {
-    double guard_tuples = 0.0;
-    cost::SkewRegime regime = cost::SkewRegime::kUniform;
+Status RegisterProducedStats(PlanContext* ctx) {
+  for (const auto& q : ctx->query->subqueries()) {
+    // An earlier subquery's output is bounded by its own guard's stats.
     const std::string& g = q.guard().relation();
-    auto it = tuple_bound.find(g);
-    if (it != tuple_bound.end()) {
-      guard_tuples = it->second;
-      regime = regime_of[g];
-    } else {
-      GUMBO_ASSIGN_OR_RETURN(const Relation* rel, db.Get(g));
-      guard_tuples = rel->RepresentedRecords();
-      regime = cost::ClassifyKeySkew(*rel);
-    }
-    tuple_bound[q.output()] = guard_tuples;
-    regime_of[q.output()] = regime;
+    GUMBO_ASSIGN_OR_RETURN(cost::RelationStats guard,
+                           ctx->catalog.Contains(g)
+                               ? ctx->catalog.Get(g)
+                               : ctx->estimator.StatsOf(g));
     cost::RelationStats stats;
-    stats.tuples = guard_tuples;
+    stats.tuples = guard.tuples;
     stats.bytes_per_tuple = 10.0 * static_cast<double>(q.OutputArity());
-    stats.regime = regime;
-    catalog->Put(q.output(), stats);
+    stats.regime = guard.regime;
+    ctx->catalog.Put(q.output(), stats);
   }
   return Status::Ok();
 }
@@ -199,15 +203,11 @@ Status PlanBatchPartitioned(const std::vector<size_t>& batch,
     if (strategy == Strategy::kPar) {
       for (size_t i = 0; i < eqs.size(); ++i) grouping.groups.push_back({i});
     } else {
-      cost::CostEstimator estimator(*ctx->config, ctx->options->cost_variant,
-                                    ctx->db, &ctx->catalog,
-                                    ctx->options->sample_size,
-                                    ctx->options->calibration);
       // Register X_i stats (upper bound: guard size at payload density;
       // regime inherited from the guard — X_i is a guard subset).
       for (const auto& eq : eqs) {
         GUMBO_ASSIGN_OR_RETURN(cost::RelationStats gs,
-                               estimator.StatsOf(eq.guard_dataset));
+                               ctx->estimator.StatsOf(eq.guard_dataset));
         cost::RelationStats xs;
         xs.tuples = gs.tuples;
         xs.bytes_per_tuple =
@@ -219,11 +219,12 @@ Status PlanBatchPartitioned(const std::vector<size_t>& batch,
       }
       if (strategy == Strategy::kOpt) {
         GUMBO_ASSIGN_OR_RETURN(
-            grouping, OptimalGrouping(eqs, ctx->options->op, estimator,
+            grouping, OptimalGrouping(eqs, ctx->options->op, ctx->estimator,
                                       ctx->options->opt_max_n));
       } else {
-        GUMBO_ASSIGN_OR_RETURN(
-            grouping, GreedyBsgfGrouping(eqs, ctx->options->op, estimator));
+        GUMBO_ASSIGN_OR_RETURN(grouping,
+                               GreedyBsgfGrouping(eqs, ctx->options->op,
+                                                  ctx->estimator));
       }
     }
   }
@@ -429,10 +430,6 @@ Batches LevelBatches(const sgf::DependencyGraph& graph) {
 // grouping inside (used by OPT-SGF).
 Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
   double total = 0.0;
-  cost::CostEstimator estimator(*ctx->config, ctx->options->cost_variant,
-                                ctx->db, &ctx->catalog,
-                                ctx->options->sample_size,
-                                ctx->options->calibration);
   for (const auto& batch : batches) {
     std::vector<ops::SemiJoinEquation> eqs;
     size_t fresh = 0;
@@ -440,7 +437,7 @@ Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
     for (size_t qi : batch) {
       const sgf::BsgfQuery& q = ctx->query->subqueries()[qi];
       GUMBO_ASSIGN_OR_RETURN(cost::RelationStats gs,
-                             estimator.StatsOf(q.guard().relation()));
+                             ctx->estimator.StatsOf(q.guard().relation()));
       eval_input_mb += gs.SizeMb();
       for (size_t ai = 0; ai < q.num_conditional_atoms(); ++ai) {
         ops::SemiJoinEquation eq;
@@ -456,8 +453,9 @@ Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
       }
     }
     if (!eqs.empty()) {
-      GUMBO_ASSIGN_OR_RETURN(Grouping g, GreedyBsgfGrouping(
-                                             eqs, ctx->options->op, estimator));
+      GUMBO_ASSIGN_OR_RETURN(
+          Grouping g,
+          GreedyBsgfGrouping(eqs, ctx->options->op, ctx->estimator));
       total += g.total_cost;
     }
     // Rough EVAL term: overhead + read + shuffle of its inputs.
@@ -478,10 +476,6 @@ Result<double> EstimateSortCost(const Batches& batches, PlanContext* ctx) {
 // totals comparable across strategies (ChoosePlan) and give the
 // calibration feedback loop its "estimated" side (DESIGN.md §10).
 Status EstimatePlanJobs(PlanContext* ctx) {
-  cost::CostEstimator estimator(*ctx->config, ctx->options->cost_variant,
-                                ctx->db, &ctx->catalog,
-                                ctx->options->sample_size,
-                                ctx->options->calibration);
   QueryPlan& plan = ctx->plan;
   plan.job_estimates.clear();
   plan.estimated_cost = 0.0;
@@ -493,13 +487,15 @@ Status EstimatePlanJobs(PlanContext* ctx) {
     double input_tuple_bound = 0.0;
     cost::SkewRegime input_regime = cost::SkewRegime::kUniform;
     for (const mr::JobInput& input : job.inputs) {
-      Result<cost::RelationStats> stats = estimator.StatsOf(input.dataset);
+      Result<cost::RelationStats> stats =
+          ctx->estimator.StatsOf(input.dataset);
       if (stats.ok()) {
         input_tuple_bound += stats->tuples;
         if (stats->regime > input_regime) input_regime = stats->regime;
       }
     }
-    GUMBO_ASSIGN_OR_RETURN(cost::JobEstimate est, estimator.EstimateJob(job));
+    GUMBO_ASSIGN_OR_RETURN(cost::JobEstimate est,
+                           ctx->estimator.EstimateJob(job));
     JobEstimateRecord rec;
     rec.job_name = job.name;
     rec.cost = est.cost;
@@ -542,12 +538,8 @@ Result<QueryPlan> Planner::Plan(const sgf::SgfQuery& query,
   PlannerOptions options = options_;
   options.op = ops::ApplyEnvOverrides(options.op);
 
-  PlanContext ctx;
-  ctx.query = &query;
-  ctx.db = &db;
-  ctx.config = &config_;
-  ctx.options = &options;
-  GUMBO_RETURN_IF_ERROR(RegisterProducedStats(query, db, &ctx.catalog));
+  PlanContext ctx(query, db, config_, options);
+  GUMBO_RETURN_IF_ERROR(RegisterProducedStats(&ctx));
   for (const auto& q : query.subqueries()) {
     ctx.plan.outputs.push_back(q.output());
   }

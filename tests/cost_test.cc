@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cost/constants.h"
 #include "cost/estimator.h"
@@ -207,6 +208,30 @@ TEST(EstimatorTest, ConstantFilterDetectedBySampling) {
 
 // ---- Skew classification + calibration (DESIGN.md §10) ----------------------
 
+// A relation whose first (key) column holds counts[v] copies of value v,
+// with a distinct second column.
+Relation KeyColumn(const std::vector<size_t>& counts) {
+  Relation rel("K", 2);
+  int64_t row = 0;
+  for (size_t v = 0; v < counts.size(); ++v) {
+    for (size_t c = 0; c < counts[v]; ++c) {
+      Tuple t;
+      t.PushBack(Value::Int(static_cast<int64_t>(v)));
+      t.PushBack(Value::Int(row++));
+      EXPECT_TRUE(rel.Add(std::move(t)).ok());
+    }
+  }
+  return rel;
+}
+
+// `top` copies of one value, then `twos` values twice and `ones` once.
+std::vector<size_t> KeyCounts(size_t top, size_t twos, size_t ones) {
+  std::vector<size_t> counts = {top};
+  counts.insert(counts.end(), twos, 2);
+  counts.insert(counts.end(), ones, 1);
+  return counts;
+}
+
 TEST(CalibrationTest, ClassifyKeySkewPerGeneratorRegime) {
   data::GeneratorConfig g;
   g.tuples = 5000;
@@ -221,6 +246,18 @@ TEST(CalibrationTest, ClassifyKeySkewPerGeneratorRegime) {
   EXPECT_EQ(ClassifyKeySkew(gen.CorrelatedGuard("C", 3, 0.9, 0.0)),
             SkewRegime::kUniform);
   EXPECT_EQ(ClassifyKeySkew(Relation("E", 2)), SkewRegime::kUniform);
+
+  // Boundaries, on 100 rows so every row is classified. A top share of
+  // exactly 20% is heavy; 19% over 82 values is moderate.
+  EXPECT_EQ(ClassifyKeySkew(KeyColumn(KeyCounts(20, 0, 80))),
+            SkewRegime::kHeavy);
+  EXPECT_EQ(ClassifyKeySkew(KeyColumn(KeyCounts(19, 0, 81))),
+            SkewRegime::kModerate);
+  // Over u = 50 values the moderate threshold is 8/u = 16%, not 4%.
+  EXPECT_EQ(ClassifyKeySkew(KeyColumn(KeyCounts(16, 35, 14))),
+            SkewRegime::kModerate);
+  EXPECT_EQ(ClassifyKeySkew(KeyColumn(KeyCounts(15, 36, 13))),
+            SkewRegime::kUniform);
 }
 
 TEST(CalibrationTest, EmptyStoreIsTheIdentity) {

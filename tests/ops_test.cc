@@ -185,6 +185,68 @@ TEST(MsjTest, RejectsOutputShadowingInput) {
   EXPECT_FALSE(BuildMsjJob({eq}, OpOptions{}, "bad").ok());
 }
 
+// Per-input signatures of the MSJ job over every equation of `query`, in
+// JobSpec::inputs order (guard first).
+std::vector<std::string> InputSignatures(const std::string& query,
+                                         bool tuple_ids = true) {
+  const sgf::BsgfQuery q = ParseBsgfOrDie(query);
+  std::vector<SemiJoinEquation> eqs;
+  for (size_t i = 0; i < q.num_conditional_atoms(); ++i) {
+    SemiJoinEquation eq;
+    eq.output = "__x" + std::to_string(i);
+    eq.guard = q.guard();
+    eq.guard_dataset = q.guard().relation();
+    eq.conditional = q.conditional_atoms()[i];
+    eq.conditional_dataset = q.conditional_atoms()[i].relation();
+    eqs.push_back(std::move(eq));
+  }
+  OpOptions options;
+  options.tuple_id_refs = tuple_ids;
+  auto job = BuildMsjJob(eqs, options, "sig");
+  EXPECT_TRUE(job.ok()) << job.status();
+  std::vector<std::string> out;
+  if (job.ok()) {
+    for (const mr::JobInput& in : job->inputs) out.push_back(in.signature);
+  }
+  return out;
+}
+
+// The cost estimator samples each (dataset, input signature) once per
+// planning call (DESIGN.md §10), so a signature must change with anything
+// the mapper emits for that input and with nothing else.
+TEST(MsjTest, InputSignaturesTrackWhatTheMapperEmits) {
+  const char* kBase = "Z := SELECT x FROM R(x, y) WHERE S(x, 3);";
+  const std::vector<std::string> base = InputSignatures(kBase);
+  ASSERT_EQ(base.size(), 2u);  // guard R, conditional S
+  EXPECT_FALSE(base[0].empty());
+  EXPECT_FALSE(base[1].empty());
+  EXPECT_EQ(InputSignatures("Z := SELECT a FROM R(a, b) WHERE S(a, 3);"),
+            base);
+
+  // A constant selects which conditional facts assert.
+  const auto constant =
+      InputSignatures("Z := SELECT x FROM R(x, y) WHERE S(x, 4);");
+  EXPECT_EQ(constant[0], base[0]);
+  EXPECT_NE(constant[1], base[1]);
+
+  // A repeated variable selects which guard facts request.
+  const auto repeated =
+      InputSignatures("Z := SELECT x FROM R(x, x) WHERE S(x, 3);");
+  EXPECT_NE(repeated[0], base[0]);
+  EXPECT_EQ(repeated[1], base[1]);
+
+  // The key variables choose the columns a fact projects to.
+  const auto other_column =
+      InputSignatures("Z := SELECT x FROM R(x, y) WHERE S(y, 3);");
+  EXPECT_NE(other_column[0], base[0]);
+  EXPECT_EQ(other_column[1], base[1]);
+  EXPECT_NE(InputSignatures("Z := SELECT x FROM R(x, y) WHERE S(x, y);")[1],
+            InputSignatures("Z := SELECT x FROM R(x, z) WHERE S(x, y);")[1]);
+
+  // The tuple-id mode sets the request payload width.
+  EXPECT_NE(InputSignatures(kBase, /*tuple_ids=*/false)[0], base[0]);
+}
+
 // ---- 1-ROUND ---------------------------------------------------------------
 
 TEST(OneRoundTest, QualificationRules) {

@@ -5,7 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
+#include <cmath>
+#include <iterator>
+#include <numeric>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "data/generator.h"
@@ -15,6 +23,8 @@
 #include "plan/planner.h"
 #include "plan/toposort.h"
 #include "sgf/naive_eval.h"
+#include "sgf/query_gen.h"
+#include "soak/soak.h"
 #include "test_util.h"
 
 namespace gumbo::plan {
@@ -36,6 +46,20 @@ data::GeneratorConfig SmallData() {
   g.representation_scale = 1.0;
   g.seed = 7;
   return g;
+}
+
+// A paper query by name: A1-A5, B1-B2 or C1-C4.
+Result<data::Workload> MakePaperWorkload(const std::string& name,
+                                         const data::GeneratorConfig& g) {
+  const int i = name[1] - '0';
+  switch (name[0]) {
+    case 'A':
+      return data::MakeA(i, g);
+    case 'B':
+      return data::MakeB(i, g);
+    default:
+      return data::MakeC(i, g);
+  }
 }
 
 // ---- Grouping ---------------------------------------------------------------
@@ -131,6 +155,101 @@ TEST(GroupingTest, OptimalRefusesLargeInputs) {
   cost::CostEstimator est(config, cost::CostModelVariant::kGumbo, &w->db,
                           &catalog, 128);
   EXPECT_FALSE(OptimalGrouping(eqs, ops::OpOptions{}, est, 10).ok());
+}
+
+// ---- Estimator memo (DESIGN.md §10) -----------------------------------------
+
+// The groups a planner may cost: every non-empty subset of up to 6
+// equations; beyond that, every group of one to three.
+std::vector<std::vector<size_t>> CandidateGroups(size_t n) {
+  std::vector<std::vector<size_t>> groups;
+  for (uint64_t mask = 1; mask < (1ULL << n); ++mask) {
+    if (n > 6 && std::bitset<64>(mask).count() > 3) continue;
+    std::vector<size_t> group;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (1ULL << i)) group.push_back(i);
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+// Every double one group's estimate yields: the planner's group cost (with
+// its K bound), then the unbounded job estimate and each input's N, M and
+// metadata.
+Result<std::vector<double>> GroupEstimate(
+    const std::vector<ops::SemiJoinEquation>& eqs,
+    const std::vector<size_t>& group, const ops::OpOptions& op,
+    cost::CostEstimator& estimator) {
+  GUMBO_ASSIGN_OR_RETURN(double cost,
+                         EstimateGroupCost(eqs, group, op, estimator));
+  std::vector<ops::SemiJoinEquation> subset;
+  for (size_t i : group) subset.push_back(eqs[i]);
+  GUMBO_ASSIGN_OR_RETURN(mr::JobSpec spec,
+                         ops::BuildMsjJob(subset, op, "memo"));
+  GUMBO_ASSIGN_OR_RETURN(cost::JobEstimate est, estimator.EstimateJob(spec));
+  std::vector<double> values = {cost, est.cost, est.output_mb};
+  for (const cost::MapPartition& p : est.partitions) {
+    values.insert(values.end(), {p.input_mb, p.output_mb, p.metadata_mb});
+  }
+  return values;
+}
+
+TEST(EstimatorMemoTest, SharedEstimatorMatchesFreshOnEveryGroup) {
+  std::vector<data::Workload> workloads;
+  for (const char* name : {"A1", "A3", "B1"}) {
+    auto w = MakePaperWorkload(name, SmallData());
+    ASSERT_OK(w);
+    workloads.push_back(std::move(*w));
+  }
+  sgf::QueryGenConfig qc;
+  qc.shape = sgf::QueryShape::kWideFanout;
+  const sgf::GeneratedQuery wide = sgf::QueryGenerator(qc).Generate(9);
+  workloads.push_back({"wide-fanout-9", wide.query,
+                       soak::BuildDatabase(wide.base_relations,
+                                           soak::DataRegime::kZipfHeavy, 9,
+                                           400, 0.4)});
+
+  cost::CalibrationStore calibration;
+  for (size_t c = 0; c < cost::kNumChannels; ++c) {
+    for (size_t r = 0; r < cost::kNumRegimes; ++r) {
+      calibration.Observe(static_cast<cost::Channel>(c),
+                          static_cast<cost::SkewRegime>(r), 1.0,
+                          0.5 + 0.25 * static_cast<double>(c) +
+                              0.125 * static_cast<double>(r));
+    }
+  }
+  const std::vector<const cost::CalibrationStore*> stores = {nullptr,
+                                                             &calibration};
+  const cost::ClusterConfig config = TestCluster();
+  std::mt19937_64 rng(20160901);
+  for (const data::Workload& w : workloads) {
+    const auto eqs = EquationsOf(w);
+    const auto groups = CandidateGroups(eqs.size());
+    for (bool tuple_ids : {true, false}) {
+      for (const cost::CalibrationStore* store : stores) {
+        ops::OpOptions op;
+        op.tuple_id_refs = tuple_ids;
+        cost::StatsCatalog catalog;
+        cost::CostEstimator shared(config, cost::CostModelVariant::kGumbo,
+                                   &w.db, &catalog, 64, store);
+        std::vector<size_t> order(groups.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::shuffle(order.begin(), order.end(), rng);
+        for (size_t gi : order) {
+          cost::CostEstimator fresh(config, cost::CostModelVariant::kGumbo,
+                                    &w.db, &catalog, 64, store);
+          auto got = GroupEstimate(eqs, groups[gi], op, shared);
+          auto want = GroupEstimate(eqs, groups[gi], op, fresh);
+          ASSERT_OK(got);
+          ASSERT_OK(want);
+          EXPECT_EQ(*got, *want)
+              << w.name << " group " << gi << " tuple ids " << tuple_ids
+              << " calibrated " << (store != nullptr);
+        }
+      }
+    }
+  }
 }
 
 // ---- Multiway topological sorts ---------------------------------------------
@@ -306,6 +425,83 @@ TEST(PlannerTest, SeqMatchesRoundCountToChainLength) {
     ASSERT_OK(plan);
     EXPECT_EQ(plan->program.Rounds(), 2);
     EXPECT_EQ(plan->program.size(), 17u);  // 16 MSJ + 1 EVAL
+  }
+}
+
+// ---- Golden plans -------------------------------------------------------------
+
+// What the planner produced for each paper query, recorded before the cost
+// estimator memoized its per-input work (DESIGN.md §10), which must leave
+// every plan and estimate unchanged. A change that moves a plan on purpose
+// replaces golden_plans.inc with the entries a failing run prints.
+struct GoldenPlan {
+  const char* query;
+  const char* strategy;
+  const char* description;
+  double estimated_cost;
+  std::vector<double> job_costs;
+};
+
+const std::vector<GoldenPlan>& GoldenPlans() {
+  static const std::vector<GoldenPlan> kPlans = {
+#include "golden_plans.inc"
+  };
+  return kPlans;
+}
+
+// One golden_plans.inc entry; a mismatch prints every actual plan in this
+// form. 17 significant digits round-trip a double exactly.
+std::string GoldenEntry(const std::string& query, Strategy strategy,
+                        const QueryPlan& plan) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "{\"" << query << "\", \"" << StrategyName(strategy) << "\",\n"
+      << " R\"plan(" << plan.description << ")plan\",\n"
+      << " " << plan.estimated_cost << ",\n {";
+  for (size_t j = 0; j < plan.job_estimates.size(); ++j) {
+    out << (j > 0 ? ", " : "") << plan.job_estimates[j].cost;
+  }
+  out << "}},\n";
+  return out.str();
+}
+
+// The paper queries under the benchmark's strategies: GREEDY for the flat
+// A/B queries, GREEDY-SGF for the nested C sets.
+TEST(GoldenPlanTest, PaperQueriesPlanAsRecorded) {
+  const char* kQueries[] = {"A1", "A2", "A3", "A4", "A5", "B1",
+                            "B2", "C1", "C2", "C3", "C4"};
+  EXPECT_EQ(GoldenPlans().size(), std::size(kQueries));
+  std::string actual;
+  for (size_t qi = 0; qi < std::size(kQueries); ++qi) {
+    const std::string name = kQueries[qi];
+    const Strategy strategy =
+        name[0] == 'C' ? Strategy::kGreedySgf : Strategy::kGreedy;
+    auto w = MakePaperWorkload(name, SmallData());
+    ASSERT_OK(w);
+    PlannerOptions opts;
+    opts.strategy = strategy;
+    opts.sample_size = 64;
+    auto plan = Planner(TestCluster(), opts).Plan(w->query, w->db);
+    ASSERT_OK(plan) << name;
+    actual += GoldenEntry(name, strategy, *plan);
+    if (qi >= GoldenPlans().size()) continue;
+
+    const GoldenPlan& golden = GoldenPlans()[qi];
+    EXPECT_EQ(golden.query, name);
+    EXPECT_EQ(golden.strategy, std::string(StrategyName(strategy)));
+    EXPECT_EQ(plan->description, golden.description) << name;
+    EXPECT_NEAR(plan->estimated_cost, golden.estimated_cost,
+                1e-12 * std::abs(golden.estimated_cost))
+        << name;
+    ASSERT_EQ(plan->job_estimates.size(), golden.job_costs.size()) << name;
+    for (size_t j = 0; j < golden.job_costs.size(); ++j) {
+      EXPECT_NEAR(plan->job_estimates[j].cost, golden.job_costs[j],
+                  1e-12 * std::abs(golden.job_costs[j]))
+          << name << " job " << j;
+    }
+  }
+  if (HasFailure()) {
+    ADD_FAILURE() << "actual plans, in golden_plans.inc form:\n" << actual;
   }
 }
 
