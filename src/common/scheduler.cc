@@ -151,6 +151,10 @@ bool Scheduler::RunClosure(const std::shared_ptr<TaskGroup::State>& s,
   const uint64_t start = NowUs();
   fn();
   const uint64_t elapsed = NowUs() - start;
+  // Counted before the completion is published below: once pending hits
+  // zero a Wait()er may return and read stats(), which must include this
+  // morsel.
+  morsel_counter->fetch_add(1, std::memory_order_relaxed);
   bool done;
   {
     std::lock_guard<std::mutex> lock(s->mu);
@@ -165,7 +169,6 @@ bool Scheduler::RunClosure(const std::shared_ptr<TaskGroup::State>& s,
     done = (s->pending == 0);
   }
   if (done) s->cv_done.notify_all();
-  morsel_counter->fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -33,10 +33,16 @@ inline uint64_t FingerprintMix(uint64_t h, uint64_t word) {
   return z ^ (z >> 31);
 }
 
+/// The running state a fingerprint of `arity` words starts from; fold
+/// the words in with FingerprintMix to fingerprint a key word by word.
+inline uint64_t FingerprintSeed(uint32_t arity) {
+  return 0x9e3779b97f4a7c15ULL ^ arity;
+}
+
 /// 64-bit fingerprint of a flat-encoded tuple (`arity` raw Value words).
 /// Equal to Tuple::Hash() of the decoded tuple by construction.
 inline uint64_t TupleFingerprint(const uint64_t* words, uint32_t arity) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL ^ arity;
+  uint64_t h = FingerprintSeed(arity);
   for (uint32_t i = 0; i < arity; ++i) h = FingerprintMix(h, words[i]);
   return h;
 }
@@ -126,7 +132,7 @@ class Tuple {
   }
 
   uint64_t Hash() const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ size_;
+    uint64_t h = FingerprintSeed(size_);
     for (uint32_t i = 0; i < size_; ++i) h = FingerprintMix(h, data()[i].raw());
     return h;
   }

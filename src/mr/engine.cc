@@ -167,11 +167,14 @@ Result<std::unique_ptr<JobExecution>> JobExecution::Prepare(
     stats.inputs[i].num_map_tasks = ntasks;
   }
 
-  // ---- Bloom filters (DESIGN.md §5.2): built once per job from the
-  // resolved inputs, before any map task runs; every mapper gets the set.
+  // ---- Bloom filters (DESIGN.md §5.2): the operator declares them, the
+  // engine fills them from the resolved inputs — one morsel per filter —
+  // before any map task runs; every mapper gets the set.
   if (job.filter_builder) {
-    GUMBO_ASSIGN_OR_RETURN(FilterSet fs, job.filter_builder(exec->inputs_));
-    if (!fs.empty()) {
+    GUMBO_ASSIGN_OR_RETURN(FilterPlan plan, job.filter_builder(exec->inputs_));
+    if (!plan.filters.empty()) {
+      FilterSet fs =
+          BuildFilters(std::move(plan), exec->inputs_, exec->sched_ctx_);
       stats.filter_mb = fs.SizeBytes() * scale * kMbPerByte;
       stats.filter_build_cost =
           cost::FilterBuildCost(config.costs, fs.scan_mb());

@@ -59,4 +59,38 @@ bool BloomFilter::MightContain(uint64_t key_hash) const {
   return true;
 }
 
+FilterSet BuildFilters(FilterPlan plan,
+                       const std::vector<const Relation*>& inputs,
+                       const SchedContext& ctx) {
+  FilterSet& fs = plan.filters;
+  // Passes grouped by filter: one morsel owns one filter, so no two
+  // morsels ever write the same bits.
+  std::vector<std::vector<const FilterPass*>> by_filter(fs.size());
+  std::vector<bool> scanned(inputs.size(), false);
+  for (const FilterPass& pass : plan.passes) {
+    by_filter[pass.filter].push_back(&pass);
+    scanned[pass.input] = true;
+  }
+  Scheduler::TaskGroup group(ctx);
+  for (size_t f = 0; f < by_filter.size(); ++f) {
+    if (by_filter[f].empty()) continue;
+    group.Submit([&fs, &by_filter, &inputs, f] {
+      BloomFilter* filter = fs.mutable_filter(f);
+      for (const FilterPass* pass : by_filter[f]) {
+        uint64_t h = 0;
+        for (RowView fact : inputs[pass->input]->views()) {
+          if (pass->key(fact, &h)) filter->Insert(h);
+        }
+      }
+    });
+  }
+  group.Wait();
+  double scan_mb = 0.0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (scanned[i]) scan_mb += inputs[i]->SizeMb();
+  }
+  fs.set_scan_mb(scan_mb);
+  return std::move(fs);
+}
+
 }  // namespace gumbo::mr

@@ -10,18 +10,23 @@
 // byte-identical with filtering on or off; only shuffle volume changes.
 //
 // The operator builders (ops/msj.cc, ops/chain.cc, ops/one_round.cc)
-// construct the filters through JobSpec::filter_builder, the engine runs
-// the builder once per job before the map phase and hands the resulting
-// FilterSet to every mapper (see docs/operators.md for which message
-// kinds of each operator are filter-eligible). Build and broadcast costs
-// enter the modeled clock via cost::FilterBuildCost /
-// cost::FilterBroadcastCost (DESIGN.md §5.3).
+// declare the filters through JobSpec::filter_builder: sized, empty
+// filters plus the insert passes that fill them. The engine runs the
+// passes once per job before the map phase (BuildFilters, one scheduler
+// morsel per filter) and hands the resulting FilterSet to every mapper
+// (see docs/operators.md for which message kinds of each operator are
+// filter-eligible). Build and broadcast costs enter the modeled clock
+// via cost::FilterBuildCost / cost::FilterBroadcastCost (DESIGN.md §5.3).
 #ifndef GUMBO_MR_FILTER_H_
 #define GUMBO_MR_FILTER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
+
+#include "common/relation.h"
+#include "common/scheduler.h"
 
 namespace gumbo::mr {
 
@@ -57,17 +62,23 @@ class BloomFilter {
   size_t num_bits() const { return words_.size() * 64; }
   int num_hashes() const { return num_hashes_; }
 
+  /// Same size, hash count and bits.
+  bool operator==(const BloomFilter& o) const {
+    return num_hashes_ == o.num_hashes_ && words_ == o.words_;
+  }
+  bool operator!=(const BloomFilter& o) const { return !(*this == o); }
+
  private:
   std::vector<uint64_t> words_;
   int num_hashes_ = 0;
 };
 
-/// The per-job collection of Bloom filters built by
-/// JobSpec::filter_builder before the map phase (DESIGN.md §5.2). The
-/// operator builder decides what each index means (MSJ: one filter per
-/// condition id; chain: one per step; 1-ROUND: one per key-group
-/// condition id — see docs/operators.md); mappers receive the set via
-/// Mapper::AttachFilters and address filters by those indices.
+/// The per-job collection of Bloom filters built before the map phase
+/// (DESIGN.md §5.2). The operator builder decides what each index means
+/// (MSJ: one filter per condition id; chain: one per step; 1-ROUND: one
+/// per key-group condition id — see docs/operators.md); mappers receive
+/// the set via Mapper::AttachFilters and address filters by those
+/// indices.
 class FilterSet {
  public:
   /// Appends a filter, returning its index.
@@ -91,8 +102,8 @@ class FilterSet {
     return b;
   }
 
-  /// Represented MB the builder scanned to populate the filters (the
-  /// conditional inputs it read); the cost model charges one local read
+  /// Represented MB the build scanned to populate the filters (every
+  /// input a pass read, once); the cost model charges one local read
   /// over it (cost::FilterBuildCost, DESIGN.md §5.3).
   double scan_mb() const { return scan_mb_; }
   void set_scan_mb(double mb) { scan_mb_ = mb; }
@@ -101,6 +112,34 @@ class FilterSet {
   std::vector<BloomFilter> filters_;
   double scan_mb_ = 0.0;
 };
+
+/// One insert pass of a job's filter build: every fact of job input
+/// `input` for which `key` yields a hash inserts that hash into filter
+/// `filter`. `key` returns false when the fact does not conform; it must
+/// be a pure function of the fact (docs/operators.md, "Filter
+/// declarations"), because passes run concurrently and in no fixed
+/// order, and it owns (captures) whatever state it reads.
+struct FilterPass {
+  size_t filter = 0;
+  size_t input = 0;
+  std::function<bool(RowView fact, uint64_t* key_hash)> key;
+};
+
+/// What JobSpec::filter_builder declares: the sized, empty filters and
+/// the passes that fill them.
+struct FilterPlan {
+  FilterSet filters;
+  std::vector<FilterPass> passes;
+};
+
+/// Runs `plan`'s passes over `inputs` (JobSpec::inputs order), one
+/// scheduler morsel per filter on `ctx`, and sets the set's scan_mb to
+/// the represented MB of the distinct inputs the passes read. A filter's
+/// bits are the OR of its keys' bits, so the result is identical to a
+/// serial insert of the same passes for any worker count or order.
+FilterSet BuildFilters(FilterPlan plan,
+                       const std::vector<const Relation*>& inputs,
+                       const SchedContext& ctx);
 
 }  // namespace gumbo::mr
 

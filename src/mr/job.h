@@ -51,7 +51,7 @@ class Mapper {
                    Emitter* emitter) = 0;
 
   /// Hands the mapper the job's Bloom filters (DESIGN.md §5.2) before any
-  /// Map call; only invoked when JobSpec::filter_builder produced a
+  /// Map call; only invoked when JobSpec::filter_builder declared a
   /// non-empty FilterSet. `filters` outlives the mapper. Mappers that
   /// don't pre-filter ignore it.
   virtual void AttachFilters(const FilterSet* filters) { (void)filters; }
@@ -146,11 +146,13 @@ struct JobSpec {
   /// task, applied by the shuffle to every key group the task emits.
   /// Combined-away messages are accounted in JobStats::combined_messages.
   std::function<std::unique_ptr<Combiner>()> combiner_factory;
-  /// Optional Bloom-filter construction (DESIGN.md §5.2): called once per
+  /// Optional Bloom-filter declaration (DESIGN.md §5.2): called once per
   /// job with the resolved input relations (JobSpec::inputs order) before
-  /// the map phase; the resulting FilterSet is attached to every mapper.
-  /// Build/broadcast costs are charged per DESIGN.md §5.3.
-  std::function<Result<FilterSet>(const std::vector<const Relation*>&)>
+  /// the map phase. It scans nothing: it returns the sized, empty filters
+  /// and their insert passes, which the engine runs (mr::BuildFilters)
+  /// before attaching the set to every mapper. Build/broadcast costs are
+  /// charged per DESIGN.md §5.3.
+  std::function<Result<FilterPlan>(const std::vector<const Relation*>&)>
       filter_builder;
   /// Message packing (Gumbo §5.1 optimization (1)): all values emitted by
   /// one map task for the same key share a single key header on the wire.

@@ -200,14 +200,16 @@ Status Shuffle::ImportTaskRecord(size_t task, const uint64_t* key_words,
 }
 
 bool Shuffle::KeyLess(const RecordRef& a, const RecordRef& b) const {
-  // Fast paths on the inlined fields: the first word is the first
-  // lexicographic position, and when either key ends there (arity < 2),
+  // Fast paths on the inlined fields: the first two words are the first
+  // two lexicographic positions, and when either key ends within them
   // the arity hint finishes the comparison — no memory indirection.
   if (a.word0 != b.word0) return a.word0 < b.word0;
   const uint32_t ah = a.arity_hint();
   const uint32_t bh = b.arity_hint();
-  if (ah < 2 || bh < 2) {
-    // The shared prefix is exhausted at word0: shorter key first...
+  if (ah >= 2 && bh >= 2 && a.word1 != b.word1) return a.word1 < b.word1;
+  if (ah < 3 || bh < 3) {
+    // The shared prefix is exhausted within the inlined words: shorter
+    // key first...
     if (ah != bh) return ah < bh;
     // ...or the keys are equal: (task, emission) order. Making the
     // tie-break explicit lets Partition use std::sort — same order a
@@ -216,7 +218,7 @@ bool Shuffle::KeyLess(const RecordRef& a, const RecordRef& b) const {
     if (a.task_arity != b.task_arity) return a.task_arity < b.task_arity;
     return a.entry < b.entry;
   }
-  // Both keys have >= 2 words: lexicographic over the remaining raw
+  // Both keys have >= 3 words: lexicographic over the remaining raw
   // words, then arity — identical to Tuple::operator< (Value order is
   // raw-word order).
   const KeyEntry& ea = EntryOf(a);
@@ -224,7 +226,7 @@ bool Shuffle::KeyLess(const RecordRef& a, const RecordRef& b) const {
   const uint64_t* wa = KeyWordsOf(a);
   const uint64_t* wb = KeyWordsOf(b);
   const uint32_t n = std::min(ea.key_arity, eb.key_arity);
-  for (uint32_t i = 1; i < n; ++i) {
+  for (uint32_t i = 2; i < n; ++i) {
     if (wa[i] < wb[i]) return true;
     if (wb[i] < wa[i]) return false;
   }
@@ -234,14 +236,18 @@ bool Shuffle::KeyLess(const RecordRef& a, const RecordRef& b) const {
 }
 
 bool Shuffle::KeyEquals(const RecordRef& a, const RecordRef& b) const {
+  if (a.word0 != b.word0 || a.word1 != b.word1 ||
+      a.arity_hint() != b.arity_hint()) {
+    return false;
+  }
+  if (a.arity_hint() < 3) return true;  // the inlined fields are the key
   const KeyEntry& ea = EntryOf(a);
   const KeyEntry& eb = EntryOf(b);
   if (ea.fingerprint != eb.fingerprint || ea.key_arity != eb.key_arity) {
     return false;
   }
-  return ea.key_arity == 0 ||
-         std::memcmp(KeyWordsOf(a), KeyWordsOf(b),
-                     ea.key_arity * sizeof(uint64_t)) == 0;
+  return std::memcmp(KeyWordsOf(a) + 2, KeyWordsOf(b) + 2,
+                     (ea.key_arity - 2) * sizeof(uint64_t)) == 0;
 }
 
 Status Shuffle::Partition(int num_partitions, Scheduler* scheduler,
@@ -290,6 +296,7 @@ Status Shuffle::Partition(int num_partitions, Scheduler* scheduler,
       const KeyEntry& e = entries[ei];
       RecordRef ref;
       ref.word0 = e.key_arity > 0 ? td.key_arena[e.key_pos] : 0;
+      ref.word1 = e.key_arity > 1 ? td.key_arena[e.key_pos + 1] : 0;
       ref.task_arity =
           task_bits | std::min(e.key_arity, RecordRef::kAritySaturated);
       ref.entry = ei;

@@ -186,15 +186,18 @@ class Shuffle {
     std::vector<KeyEntry> entries;
   };
 
-  /// 16 bytes per record in the sorted partition arrays. word0 and the
-  /// saturating arity hint are inlined so the sort decides single-word
-  /// keys (the common MSJ join-key case) without touching the key arena
-  /// or entry array at all.
+  /// 24 bytes per record in the sorted partition arrays. The first two
+  /// key words and the saturating arity hint are inlined so the sort
+  /// decides keys of up to two words — MSJ's single-word join keys and
+  /// EVAL's (task id, tuple id), whose word 0 is the same across a whole
+  /// job — without touching the key arena or entry array at all
+  /// (DESIGN.md §3).
   struct RecordRef {
     static constexpr uint32_t kAritySaturated = 0xff;
-    /// First key word (0 for empty keys) — the first lexicographic
-    /// comparison position.
+    /// First two key words (0 past the key's end) — the first two
+    /// lexicographic comparison positions.
     uint64_t word0 = 0;
+    uint64_t word1 = 0;
     /// (task << 8) | min(key_arity, kAritySaturated).
     uint32_t task_arity = 0;
     uint32_t entry = 0;

@@ -12,17 +12,16 @@ namespace {
 
 struct CompiledStep {
   ChainStepSpec spec;
-  std::vector<std::string> key_vars;
-  // Identity projections (DESIGN.md §7): the join key is the fact itself,
-  // so the mapper reuses the stored row fingerprint instead of hashing.
-  bool guard_key_identity = false;
-  bool cond_key_identity = false;
+  // Key and output projections resolved to positions once per job
+  // (DESIGN.md §7); identity keys reuse the stored row fingerprint.
+  KeyProjection guard_key;
+  KeyProjection cond_key;
+  KeyProjection select;  // pi_{guard;select_vars}, when emit_projection
   // Bloom pre-filtering (DESIGN.md §5.2). Requests may be dropped on
   // *positive* steps only — an anti-join emits guards *without* matches,
   // so its requests must flow. Asserts at keys no input tuple projects to
   // are dead weight for both polarities (the reducer only emits
   // requests), so assert-side filtering is always on.
-  bool bloom_filters = false;
   bool request_filter = false;
   double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
@@ -43,7 +42,7 @@ class ChainMapper : public mr::Mapper {
     const ChainStepSpec& s = c_->spec;
     if (input_index == 0) {
       if (s.filter_guard_pattern && !s.guard.Conforms(fact)) return;
-      key_.Select(s.guard, c_->guard_key_identity, c_->key_vars, fact);
+      key_.Select(c_->guard_key, fact);
       if (filters_ != nullptr && c_->request_filter &&
           !filters_->filter(0).MightContain(key_.hash)) {
         ++suppressed_;  // key provably unmatched: the semi-join drops it
@@ -53,7 +52,7 @@ class ChainMapper : public mr::Mapper {
                              RequestWireBytes(mr::TupleWireBytes(fact)));
     } else {
       if (!s.conditional.Conforms(fact)) return;
-      key_.Select(s.conditional, c_->cond_key_identity, c_->key_vars, fact);
+      key_.Select(c_->cond_key, fact);
       if (filters_ != nullptr &&
           !filters_->filter(1).MightContain(key_.hash)) {
         ++suppressed_;  // no input tuple can request this key
@@ -91,7 +90,7 @@ class ChainReducer : public mr::Reducer {
     for (const mr::MessageRef m : values) {
       if (m.tag() != kTagRequest) continue;
       if (s.emit_projection) {
-        emitter->Emit(0, s.guard.Project(m.PayloadView(), s.select_vars));
+        emitter->Emit(0, c_->select.Gather(m.PayloadView(), &out_));
       } else {
         emitter->Emit(0, m.PayloadView());  // zero-copy forward
       }
@@ -100,14 +99,13 @@ class ChainReducer : public mr::Reducer {
 
  private:
   std::shared_ptr<const CompiledStep> c_;
+  std::vector<uint64_t> out_;  // projected output row scratch
 };
 
 // Union/projection: map every chain-output tuple to its projection and
 // emit the key once per group.
 struct CompiledUnion {
-  sgf::Atom guard;
-  std::vector<std::string> select_vars;
-  bool identity = false;  // projection reproduces the fact (DESIGN.md §7)
+  KeyProjection select;  // pi_{guard;select_vars} (DESIGN.md §7)
 };
 
 class UnionMapper : public mr::Mapper {
@@ -118,17 +116,13 @@ class UnionMapper : public mr::Mapper {
            mr::Emitter* emitter) override {
     (void)input_index;
     (void)tuple_id;
-    if (c_->identity) {
-      emitter->EmitPrehashed(fact, fact.fingerprint(), kTagGuard, 0,
-                             kTagBytes);
-    } else {
-      emitter->Emit(c_->guard.Project(fact, c_->select_vars), kTagGuard, 0,
-                    kTagBytes);
-    }
+    key_.Select(c_->select, fact);
+    emitter->EmitPrehashed(key_.key, key_.hash, kTagGuard, 0, kTagBytes);
   }
 
  private:
   std::shared_ptr<const CompiledUnion> c_;
+  ShuffleKey key_;  // per-emission key/fingerprint scratch
 };
 
 class UnionReducer : public mr::Reducer {
@@ -151,12 +145,13 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
   }
   auto compiled = std::make_shared<CompiledStep>();
   compiled->spec = step;
-  compiled->key_vars = step.conditional.SharedVariables(step.guard);
-  compiled->guard_key_identity =
-      step.guard.IsIdentityProjection(compiled->key_vars);
-  compiled->cond_key_identity =
-      step.conditional.IsIdentityProjection(compiled->key_vars);
-  compiled->bloom_filters = options.bloom_filters;
+  const std::vector<std::string> key_vars =
+      step.conditional.SharedVariables(step.guard);
+  compiled->guard_key = KeyProjection::Of(step.guard, key_vars);
+  compiled->cond_key = KeyProjection::Of(step.conditional, key_vars);
+  if (step.emit_projection) {
+    compiled->select = KeyProjection::Of(step.guard, step.select_vars);
+  }
   compiled->request_filter = options.bloom_filters && step.positive;
   compiled->filter_fpp = options.filter_fpp;
 
@@ -190,38 +185,30 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
   if (options.combiners) {
     spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
   }
-  if (compiled->bloom_filters) {
+  if (options.bloom_filters) {
     // Filter 0: the conditional's projected join keys (input 1), used to
     // suppress requests on positive steps; filter 1: the input guard
     // set's projected keys (input 0), used to suppress dead asserts.
     spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
-        -> Result<mr::FilterSet> {
-      const Relation* input = rels[0];
-      const Relation* cond = rels[1];
-      const ChainStepSpec& s = compiled->spec;
-      mr::FilterSet fs;
+        -> Result<mr::FilterPlan> {
+      const CompiledStep& c = *compiled;
+      mr::FilterPlan plan;
       // Slot 0 stays empty (zero bytes) on anti-join steps.
-      fs.Add(compiled->request_filter
-                 ? mr::BloomFilter(cond->size(), compiled->filter_fpp)
-                 : mr::BloomFilter());
-      fs.Add(mr::BloomFilter(input->size(), compiled->filter_fpp));
-      if (compiled->request_filter) {
-        for (RowView fact : cond->views()) {
-          if (!s.conditional.Conforms(fact)) continue;
-          fs.mutable_filter(0)->Insert(
-              ShuffleKeyHash(s.conditional, compiled->cond_key_identity,
-                             compiled->key_vars, fact));
-        }
+      plan.filters.Add(c.request_filter
+                           ? mr::BloomFilter(rels[1]->size(), c.filter_fpp)
+                           : mr::BloomFilter());
+      plan.filters.Add(mr::BloomFilter(rels[0]->size(), c.filter_fpp));
+      if (c.request_filter) {
+        plan.passes.push_back(
+            {0, 1,
+             ConformingKeyHash(compiled, &c.spec.conditional, &c.cond_key)});
       }
-      for (RowView fact : input->views()) {
-        if (s.filter_guard_pattern && !s.guard.Conforms(fact)) continue;
-        fs.mutable_filter(1)->Insert(
-            ShuffleKeyHash(s.guard, compiled->guard_key_identity,
-                           compiled->key_vars, fact));
-      }
-      fs.set_scan_mb((compiled->request_filter ? cond->SizeMb() : 0.0) +
-                     input->SizeMb());
-      return fs;
+      plan.passes.push_back(
+          {1, 0,
+           ConformingKeyHash(
+               compiled, c.spec.filter_guard_pattern ? &c.spec.guard : nullptr,
+               &c.guard_key)});
+      return plan;
     };
   }
   return spec;
@@ -236,9 +223,7 @@ Result<mr::JobSpec> BuildUnionProjectJob(
     return Status::InvalidArgument("union: no inputs");
   }
   auto compiled = std::make_shared<CompiledUnion>();
-  compiled->guard = guard;
-  compiled->select_vars = select_vars;
-  compiled->identity = guard.IsIdentityProjection(select_vars);
+  compiled->select = KeyProjection::Of(guard, select_vars);
 
   mr::JobSpec spec;
   spec.name = job_name;

@@ -14,8 +14,9 @@ namespace {
 struct CompiledEval {
   struct Task {
     sgf::BsgfQuery query;
+    KeyProjection select;  // pi_{guard;select_vars} (DESIGN.md §7)
     size_t output_index = 0;
-    uint32_t task_id = 0;
+    uint64_t key_prefix = 0;  // raw word of the task id
   };
   std::vector<Task> tasks;
   // Input routing: an input is either a guard input of a task or an X_i.
@@ -30,13 +31,6 @@ struct CompiledEval {
 
 // Key layout: (task_id, guard-identity...), where the identity is the
 // tuple id (id mode) or the full guard tuple.
-Tuple MakeKey(uint32_t task_id, TupleView identity) {
-  Tuple key;
-  key.PushBack(Value::Int(task_id));
-  for (uint32_t i = 0; i < identity.size(); ++i) key.PushBack(identity[i]);
-  return key;
-}
-
 class EvalMapper : public mr::Mapper {
  public:
   explicit EvalMapper(std::shared_ptr<const CompiledEval> c)
@@ -50,23 +44,30 @@ class EvalMapper : public mr::Mapper {
         if (!task.query.guard().Conforms(fact)) continue;
         if (c_->tuple_id_refs) {
           // Ship the guard tuple to resolve the id at the reducer.
-          Tuple identity{Value::Int(static_cast<int64_t>(tuple_id))};
-          emitter->Emit(MakeKey(task.task_id, identity), kTagGuard, 0, fact,
-                        kTagBytes + mr::TupleWireBytes(fact));
+          key_.Compose(
+              {task.key_prefix,
+               Value::Int(static_cast<int64_t>(tuple_id)).raw()},
+              TupleView());
+          emitter->EmitPrehashed(key_.key, key_.hash, kTagGuard, 0, fact,
+                                 kTagBytes + mr::TupleWireBytes(fact));
         } else {
-          emitter->Emit(MakeKey(task.task_id, fact), kTagGuard, 0, kTagBytes);
+          key_.Compose({task.key_prefix}, fact);
+          emitter->EmitPrehashed(key_.key, key_.hash, kTagGuard, 0,
+                                 kTagBytes);
         }
       } else {
         // Membership fact of X_{atom_index}: the fact IS the identity
         // (an id in id mode, the guard tuple otherwise).
-        emitter->Emit(MakeKey(task.task_id, fact), kTagX, route.atom_index,
-                      kTagBytes + kSmallIdBytes);
+        key_.Compose({task.key_prefix}, fact);
+        emitter->EmitPrehashed(key_.key, key_.hash, kTagX, route.atom_index,
+                               kTagBytes + kSmallIdBytes);
       }
     }
   }
 
  private:
   std::shared_ptr<const CompiledEval> c_;
+  ShuffleKey key_;  // per-emission key/fingerprint scratch
 };
 
 class EvalReducer : public mr::Reducer {
@@ -105,21 +106,18 @@ class EvalReducer : public mr::Reducer {
           [&](size_t i) { return truth_[i]; });
     }
     if (!keep) return;
-    const sgf::BsgfQuery& q = task.query;
-    Tuple out;
-    if (c_->tuple_id_refs) {
-      out = q.guard().Project(guard_fact, q.select_vars());
-    } else {
-      // Key = (task_id, guard tuple); the suffix view is the fact.
-      out = q.guard().Project(TupleView(key.words() + 1, key.size() - 1),
-                              q.select_vars());
-    }
-    emitter->Emit(task.output_index, out);
+    // Key = (task_id, guard tuple) without ids; the suffix view is the
+    // fact.
+    const TupleView fact =
+        c_->tuple_id_refs ? guard_fact
+                          : TupleView(key.words() + 1, key.size() - 1);
+    emitter->Emit(task.output_index, task.select.Gather(fact, &out_));
   }
 
  private:
   std::shared_ptr<const CompiledEval> c_;
   std::vector<bool> truth_;
+  std::vector<uint64_t> out_;  // projected output row scratch
 };
 
 }  // namespace
@@ -161,7 +159,8 @@ Result<mr::JobSpec> BuildEvalJob(const std::vector<EvalTask>& tasks,
     }
     CompiledEval::Task task;
     task.query = in.query;
-    task.task_id = static_cast<uint32_t>(ti);
+    task.select = KeyProjection::Of(in.query.guard(), in.query.select_vars());
+    task.key_prefix = Value::Int(static_cast<int64_t>(ti)).raw();
     task.output_index = ti;
     compiled->tasks.push_back(std::move(task));
 

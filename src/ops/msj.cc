@@ -13,31 +13,39 @@ namespace gumbo::ops {
 namespace {
 
 // Compiled form of an MSJ job, shared (read-only) by all mapper/reducer
-// instances.
+// instances. Conformance is compiled into the atoms and every key
+// projection is resolved to fact positions here, once per job
+// (DESIGN.md §7).
 struct CompiledMsj {
   struct Equation {
     sgf::Atom guard;
     sgf::Atom conditional;
     std::vector<std::string> key_vars;  // join key, kappa-order
+    KeyProjection guard_key;            // pi_{guard;key_vars}
+    KeyProjection cond_key;             // pi_{conditional;key_vars}
     uint32_t cond_id = 0;               // canonical condition id
     size_t output_index = 0;            // into JobSpec::outputs
     double payload_bytes = 0.0;         // request payload wire size
-    // Identity projections (DESIGN.md §7): when the join key IS the fact,
-    // the mapper reuses the relation's stored row fingerprint instead of
-    // hashing the projection — tuples hash once at load, never again.
-    bool guard_key_identity = false;
-    bool cond_key_identity = false;
+  };
+  // One Assert emitter of an input: the first equation reading the input
+  // as conditional under its condition id. Equations sharing a condition
+  // id share the signature, so they conform and project identically and
+  // assert the same message; `equations` counts them, because a filter
+  // suppression is counted once per equation.
+  struct Assert {
+    size_t eq = 0;
+    uint64_t equations = 0;
   };
   std::vector<Equation> equations;
   // Routing: per input dataset index, which equations read it as guard /
-  // as conditional.
+  // as conditional, and its distinct Asserts.
   std::vector<std::vector<size_t>> guard_eqs_of_input;
   std::vector<std::vector<size_t>> cond_eqs_of_input;
+  std::vector<std::vector<Assert>> asserts_of_input;
   size_t num_conditions = 0;
   bool tuple_id_refs = true;
   // Bloom pre-filtering (DESIGN.md §5.2): one filter per condition id
   // (conditions sharing a signature share a filter, like Asserts).
-  bool bloom_filters = false;
   double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
 
@@ -61,7 +69,7 @@ class MsjMapper : public mr::Mapper {
     for (size_t ei : c_->guard_eqs_of_input[input_index]) {
       const auto& eq = c_->equations[ei];
       if (!eq.guard.Conforms(fact)) continue;
-      key_.Select(eq.guard, eq.guard_key_identity, eq.key_vars, fact);
+      key_.Select(eq.guard_key, fact);
       if (filters_ != nullptr &&
           !filters_->filter(eq.cond_id).MightContain(key_.hash)) {
         ++suppressed_;
@@ -69,9 +77,9 @@ class MsjMapper : public mr::Mapper {
       }
       const double wire = RequestWireBytes(eq.payload_bytes);
       if (c_->tuple_id_refs) {
+        const uint64_t id = Value::Int(static_cast<int64_t>(tuple_id)).raw();
         emitter->EmitPrehashed(key_.key, key_.hash, kTagRequest,
-                               static_cast<uint32_t>(ei),
-                               Tuple{Value::Int(static_cast<int64_t>(tuple_id))},
+                               static_cast<uint32_t>(ei), TupleView(&id, 1),
                                wire);
       } else {
         emitter->EmitPrehashed(key_.key, key_.hash, kTagRequest,
@@ -82,26 +90,16 @@ class MsjMapper : public mr::Mapper {
     // unless the guard-side filter proves no guard fact projects to this
     // key, in which case the assert can reach no request and is dead
     // weight (DESIGN.md §5.2, assert-side filtering).
-    seen_.clear();
-    for (size_t ei : c_->cond_eqs_of_input[input_index]) {
-      const auto& eq = c_->equations[ei];
+    for (const CompiledMsj::Assert& a : c_->asserts_of_input[input_index]) {
+      const auto& eq = c_->equations[a.eq];
       if (!eq.conditional.Conforms(fact)) continue;
-      key_.Select(eq.conditional, eq.cond_key_identity, eq.key_vars, fact);
+      key_.Select(eq.cond_key, fact);
       if (filters_ != nullptr &&
           !filters_->filter(c_->num_conditions + eq.cond_id)
                .MightContain(key_.hash)) {
-        ++suppressed_;
+        suppressed_ += a.equations;
         continue;
       }
-      bool duplicate = false;
-      for (const auto& [cid, k] : seen_) {
-        if (cid == eq.cond_id && key_.key == k) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      seen_.emplace_back(eq.cond_id, key_.key.ToTuple());
       emitter->EmitPrehashed(key_.key, key_.hash, kTagAssert, eq.cond_id,
                              AssertWireBytes());
     }
@@ -112,8 +110,6 @@ class MsjMapper : public mr::Mapper {
   const mr::FilterSet* filters_ = nullptr;
   uint64_t suppressed_ = 0;
   ShuffleKey key_;  // per-emission key/fingerprint scratch
-  // Scratch: (cond_id, key) pairs asserted for the current fact.
-  std::vector<std::pair<uint32_t, Tuple>> seen_;
 };
 
 class MsjReducer : public mr::Reducer {
@@ -206,8 +202,8 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
                            ? kTupleIdBytes
                            : 10.0 * static_cast<double>(in.guard.arity());
     eq.output_index = ei;
-    eq.guard_key_identity = in.guard.IsIdentityProjection(eq.key_vars);
-    eq.cond_key_identity = in.conditional.IsIdentityProjection(eq.key_vars);
+    eq.guard_key = KeyProjection::Of(in.guard, eq.key_vars);
+    eq.cond_key = KeyProjection::Of(in.conditional, eq.key_vars);
     compiled->equations.push_back(std::move(eq));
 
     size_t gi = input_index_of(in.guard_dataset);
@@ -229,6 +225,22 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
   compiled->guard_eqs_of_input.resize(inputs.size());
   compiled->cond_eqs_of_input.resize(inputs.size());
   compiled->num_conditions = cond_ids.size();
+  compiled->asserts_of_input.resize(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    std::vector<CompiledMsj::Assert>& asserts = compiled->asserts_of_input[i];
+    for (size_t ei : compiled->cond_eqs_of_input[i]) {
+      const uint32_t cid = compiled->equations[ei].cond_id;
+      auto it = std::find_if(asserts.begin(), asserts.end(),
+                             [&](const CompiledMsj::Assert& a) {
+                               return compiled->equations[a.eq].cond_id == cid;
+                             });
+      if (it == asserts.end()) {
+        asserts.push_back({ei, 1});
+      } else {
+        ++it->equations;
+      }
+    }
+  }
 
   // Inputs plus estimator hints: per input, the (upper-bound) message
   // count per tuple and the average message wire size, derived from the
@@ -280,10 +292,9 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
   // can carry — the reducer only ever emits Requests, so such Asserts are
   // dead weight).
   if (options.bloom_filters) {
-    compiled->bloom_filters = true;
     compiled->filter_fpp = options.filter_fpp;
     spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
-        -> Result<mr::FilterSet> {
+        -> Result<mr::FilterPlan> {
       const size_t nc = compiled->num_conditions;
       // Size each filter for the largest input feeding it.
       std::vector<size_t> expected(2 * nc, 0);
@@ -302,47 +313,29 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
           expected[nc + eq.cond_id] += rels[i]->size();
         }
       }
-      mr::FilterSet fs;
+      mr::FilterPlan plan;
       for (size_t f = 0; f < 2 * nc; ++f) {
-        fs.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
+        plan.filters.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
       }
-      double scan_mb = 0.0;
+      // Conditional keys once per distinct condition id (equations
+      // sharing a signature would insert the same keys twice); guard keys
+      // go into the union filter of their equation's condition. The key
+      // functions hash exactly what the mappers probe (ShuffleKeyHash).
       for (size_t i = 0; i < rels.size(); ++i) {
-        // Distinct condition ids per role: equations sharing a signature
-        // would insert the same conditional keys twice; guard keys go
-        // into the union filter of their equation's condition.
-        std::vector<size_t> cond_eqs;
-        std::set<uint32_t> cond_seen;
-        for (size_t ei : compiled->cond_eqs_of_input[i]) {
-          if (cond_seen.insert(compiled->equations[ei].cond_id).second) {
-            cond_eqs.push_back(ei);
-          }
+        for (const CompiledMsj::Assert& a : compiled->asserts_of_input[i]) {
+          const auto& eq = compiled->equations[a.eq];
+          plan.passes.push_back(
+              {eq.cond_id, i,
+               ConformingKeyHash(compiled, &eq.conditional, &eq.cond_key)});
         }
-        const std::vector<size_t>& guard_eqs =
-            compiled->guard_eqs_of_input[i];
-        if (cond_eqs.empty() && guard_eqs.empty()) continue;
-        scan_mb += rels[i]->SizeMb();
-        // View-based scan; ShuffleKeyHash keeps the inserted figure in
-        // lockstep with what the mappers probe.
-        for (RowView fact : rels[i]->views()) {
-          for (size_t ei : cond_eqs) {
-            const auto& eq = compiled->equations[ei];
-            if (!eq.conditional.Conforms(fact)) continue;
-            fs.mutable_filter(eq.cond_id)
-                ->Insert(ShuffleKeyHash(eq.conditional, eq.cond_key_identity,
-                                        eq.key_vars, fact));
-          }
-          for (size_t ei : guard_eqs) {
-            const auto& eq = compiled->equations[ei];
-            if (!eq.guard.Conforms(fact)) continue;
-            fs.mutable_filter(nc + eq.cond_id)
-                ->Insert(ShuffleKeyHash(eq.guard, eq.guard_key_identity,
-                                        eq.key_vars, fact));
-          }
+        for (size_t ei : compiled->guard_eqs_of_input[i]) {
+          const auto& eq = compiled->equations[ei];
+          plan.passes.push_back(
+              {nc + eq.cond_id, i,
+               ConformingKeyHash(compiled, &eq.guard, &eq.guard_key)});
         }
       }
-      fs.set_scan_mb(scan_mb);
-      return fs;
+      return plan;
     };
   }
   return spec;

@@ -22,6 +22,7 @@ namespace {
 // together at a reducer.
 struct KeyGroup {
   std::vector<std::string> key_vars;
+  KeyProjection guard_key;  // pi_{guard;key_vars} (DESIGN.md §7)
   enum class Mode {
     kFullCondition,     // single group covering all atoms (case a)
     kLocalDisjunction,  // OR of this group's literals (case b)
@@ -57,17 +58,25 @@ struct CompiledOneRound {
   struct Task {
     sgf::BsgfQuery query;
     std::vector<KeyGroup> groups;
+    KeyProjection select;  // pi_{guard;select_vars} (DESIGN.md §7)
     size_t output_index = 0;
     double payload_bytes = 0.0;  // SELECT projection wire size
   };
   std::vector<Task> tasks;
   size_t num_filters = 0;
   double filter_fpp = mr::BloomFilter::kDefaultFpp;
+  // One Assert emitter of an input: the first atom routed from the input
+  // to a (task, group, condition id). Atoms sharing a condition id share
+  // the signature, so they conform and project identically and assert
+  // the same message; `atoms` counts them, because a filter suppression
+  // is counted once per atom.
   struct CondRoute {
     size_t task;
     size_t group;
     uint32_t atom_index;
     uint32_t cond_id;
+    KeyProjection key;  // pi_{atom;group key_vars}
+    uint64_t atoms = 1;
   };
   // Input routing.
   std::vector<std::vector<size_t>> guard_tasks_of_input;
@@ -75,12 +84,8 @@ struct CompiledOneRound {
 };
 
 // Key layout: (task_id, group_id, join-key values...).
-Tuple MakeKey(size_t task, size_t group, TupleView projected) {
-  Tuple key;
-  key.PushBack(Value::Int(static_cast<int64_t>(task)));
-  key.PushBack(Value::Int(static_cast<int64_t>(group)));
-  for (uint32_t i = 0; i < projected.size(); ++i) key.PushBack(projected[i]);
-  return key;
+uint64_t KeyWord(size_t id) {
+  return Value::Int(static_cast<int64_t>(id)).raw();
 }
 
 class OneRoundMapper : public mr::Mapper {
@@ -99,17 +104,15 @@ class OneRoundMapper : public mr::Mapper {
     for (size_t ti : c_->guard_tasks_of_input[input_index]) {
       const auto& task = c_->tasks[ti];
       if (!task.query.guard().Conforms(fact)) continue;
-      Tuple projection =
-          task.query.guard().Project(fact, task.query.select_vars());
+      const TupleView projection = task.select.Gather(fact, &payload_);
       for (size_t gi = 0; gi < task.groups.size(); ++gi) {
         const KeyGroup& group = task.groups[gi];
-        Tuple key_proj = task.query.guard().Project(fact, group.key_vars);
         // Drop the request only when every condition filter of the group
         // misses: no Assert can reach the reducer for this key, and the
         // group is marked safe to decide "false" on zero Asserts
         // (DESIGN.md §5.2).
         if (filters_ != nullptr && group.can_filter) {
-          const uint64_t h = key_proj.Hash();
+          const uint64_t h = ShuffleKeyHash(group.guard_key, fact);
           bool might = false;
           for (size_t ci = 0; ci < group.num_cond_ids; ++ci) {
             if (filters_->filter(group.filter_base + ci).MightContain(h)) {
@@ -122,36 +125,28 @@ class OneRoundMapper : public mr::Mapper {
             continue;
           }
         }
-        emitter->Emit(MakeKey(ti, gi, key_proj), kTagRequest, 0, projection,
-                      RequestWireBytes(task.payload_bytes));
+        key_.Compose({KeyWord(ti), KeyWord(gi)}, group.guard_key, fact);
+        emitter->EmitPrehashed(key_.key, key_.hash, kTagRequest, 0,
+                               projection,
+                               RequestWireBytes(task.payload_bytes));
       }
     }
-    seen_.clear();
     for (const auto& route : c_->cond_routes_of_input[input_index]) {
       const auto& task = c_->tasks[route.task];
       const sgf::Atom& atom =
           task.query.conditional_atoms()[route.atom_index];
       if (!atom.Conforms(fact)) continue;
       const KeyGroup& group = task.groups[route.group];
-      Tuple key_proj = atom.Project(fact, group.key_vars);
       if (filters_ != nullptr && group.assert_filter != SIZE_MAX &&
           !filters_->filter(group.assert_filter)
-               .MightContain(key_proj.Hash())) {
-        ++suppressed_;  // no guard fact can request this key
+               .MightContain(ShuffleKeyHash(route.key, fact))) {
+        suppressed_ += route.atoms;  // no guard fact can request this key
         continue;
       }
-      Tuple key = MakeKey(route.task, route.group, key_proj);
-      // Dedupe identical asserts for this fact (shared signatures).
-      bool dup = false;
-      for (const auto& [cid, k] : seen_) {
-        if (cid == route.cond_id && k == key) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-      seen_.emplace_back(route.cond_id, key);
-      emitter->Emit(key, kTagAssert, route.cond_id, AssertWireBytes());
+      key_.Compose({KeyWord(route.task), KeyWord(route.group)}, route.key,
+                   fact);
+      emitter->EmitPrehashed(key_.key, key_.hash, kTagAssert, route.cond_id,
+                             AssertWireBytes());
     }
   }
 
@@ -159,7 +154,8 @@ class OneRoundMapper : public mr::Mapper {
   std::shared_ptr<const CompiledOneRound> c_;
   const mr::FilterSet* filters_ = nullptr;
   uint64_t suppressed_ = 0;
-  std::vector<std::pair<uint32_t, Tuple>> seen_;
+  ShuffleKey key_;                 // per-emission key/fingerprint scratch
+  std::vector<uint64_t> payload_;  // SELECT projection scratch
 };
 
 class OneRoundReducer : public mr::Reducer {
@@ -281,6 +277,7 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
 
     CompiledOneRound::Task task;
     task.query = in.query;
+    task.select = KeyProjection::Of(in.query.guard(), in.query.select_vars());
     task.output_index = ti;
     task.payload_bytes =
         10.0 * static_cast<double>(in.query.select_vars().size());
@@ -369,7 +366,12 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
       }
     }
 
-    // Routing.
+    for (KeyGroup& g : task.groups) {
+      g.guard_key = KeyProjection::Of(in.query.guard(), g.key_vars);
+    }
+
+    // Routing: one route per distinct (group, condition id) of an input;
+    // later atoms with the same condition id only bump its atom count.
     size_t gi = input_index_of(in.guard_dataset);
     grow_routes();
     compiled->guard_tasks_of_input[gi].push_back(ti);
@@ -379,10 +381,20 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
       // Find the group and cond id of this atom.
       for (size_t g = 0; g < task.groups.size(); ++g) {
         for (const auto& lit : task.groups[g].literals) {
-          if (lit.atom_index == ai) {
-            compiled->cond_routes_of_input[ii].push_back(
-                {ti, g, ai, lit.cond_id});
+          if (lit.atom_index != ai) continue;
+          auto& routes = compiled->cond_routes_of_input[ii];
+          auto it = std::find_if(
+              routes.begin(), routes.end(),
+              [&](const CompiledOneRound::CondRoute& r) {
+                return r.task == ti && r.group == g && r.cond_id == lit.cond_id;
+              });
+          if (it != routes.end()) {
+            ++it->atoms;
+            continue;
           }
+          routes.push_back({ti, g, ai, lit.cond_id,
+                            KeyProjection::Of(atoms[ai],
+                                              task.groups[g].key_vars)});
         }
       }
     }
@@ -410,7 +422,7 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
   compiled->filter_fpp = options.filter_fpp;
   if (options.bloom_filters && compiled->num_filters > 0) {
     spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
-        -> Result<mr::FilterSet> {
+        -> Result<mr::FilterPlan> {
       // Size each filter for the largest input routed to it.
       std::vector<size_t> expected(compiled->num_filters, 0);
       for (size_t i = 0; i < rels.size(); ++i) {
@@ -429,54 +441,37 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
           }
         }
       }
-      mr::FilterSet fs;
+      mr::FilterPlan plan;
       for (size_t f = 0; f < compiled->num_filters; ++f) {
-        fs.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
+        plan.filters.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
       }
-      double scan_mb = 0.0;
       for (size_t i = 0; i < rels.size(); ++i) {
-        // One representative route per request filter id: atoms sharing a
-        // condition signature would insert the same keys twice.
-        std::vector<const CompiledOneRound::CondRoute*> distinct;
-        std::set<size_t> fid_seen;
+        // Request filters: one pass per route (routes are already one per
+        // distinct condition id of a group).
         for (const auto& route : compiled->cond_routes_of_input[i]) {
-          const KeyGroup& g =
-              compiled->tasks[route.task].groups[route.group];
+          const auto& task = compiled->tasks[route.task];
+          const KeyGroup& g = task.groups[route.group];
           if (!g.can_filter) continue;
-          if (fid_seen.insert(g.filter_base + route.cond_id).second) {
-            distinct.push_back(&route);
-          }
+          plan.passes.push_back(
+              {g.filter_base + route.cond_id, i,
+               ConformingKeyHash(
+                   compiled, &task.query.conditional_atoms()[route.atom_index],
+                   &route.key)});
         }
         // Guard side: every eligible group of every task guarded by this
         // input feeds its assert filter.
-        std::vector<std::pair<size_t, const KeyGroup*>> guard_groups;
         for (size_t ti : compiled->guard_tasks_of_input[i]) {
-          for (const KeyGroup& g : compiled->tasks[ti].groups) {
-            if (g.assert_filter != SIZE_MAX) guard_groups.push_back({ti, &g});
-          }
-        }
-        if (distinct.empty() && guard_groups.empty()) continue;
-        scan_mb += rels[i]->SizeMb();
-        for (RowView fact : rels[i]->views()) {
-          for (const auto* route : distinct) {
-            const auto& task = compiled->tasks[route->task];
-            const sgf::Atom& atom =
-                task.query.conditional_atoms()[route->atom_index];
-            if (!atom.Conforms(fact)) continue;
-            const KeyGroup& g = task.groups[route->group];
-            fs.mutable_filter(g.filter_base + route->cond_id)
-                ->Insert(atom.Project(fact, g.key_vars).Hash());
-          }
-          for (const auto& [ti, g] : guard_groups) {
-            const sgf::Atom& guard = compiled->tasks[ti].query.guard();
-            if (!guard.Conforms(fact)) continue;
-            fs.mutable_filter(g->assert_filter)
-                ->Insert(guard.Project(fact, g->key_vars).Hash());
+          const auto& task = compiled->tasks[ti];
+          for (const KeyGroup& g : task.groups) {
+            if (g.assert_filter == SIZE_MAX) continue;
+            plan.passes.push_back(
+                {g.assert_filter, i,
+                 ConformingKeyHash(compiled, &task.query.guard(),
+                                   &g.guard_key)});
           }
         }
       }
-      fs.set_scan_mb(scan_mb);
-      return fs;
+      return plan;
     };
   }
   return spec;

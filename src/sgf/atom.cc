@@ -22,23 +22,19 @@ bool Atom::UsesVariable(const std::string& var) const {
   return false;
 }
 
-bool Atom::Conforms(TupleView fact) const {
-  if (fact.size() != terms_.size()) return false;
-  for (size_t i = 0; i < terms_.size(); ++i) {
+void Atom::CompileConformance() {
+  for (uint32_t i = 0; i < terms_.size(); ++i) {
     const Term& t = terms_[i];
     if (t.is_constant()) {
-      if (fact[i] != t.value()) return false;
-    } else {
-      // Check equality with the first occurrence of the same variable.
-      for (size_t j = 0; j < i; ++j) {
-        if (terms_[j].is_variable() && terms_[j].var() == t.var()) {
-          if (fact[i] != fact[j]) return false;
-          break;
-        }
-      }
+      constants_.emplace_back(i, t.value().raw());
+      continue;
+    }
+    // A later occurrence of a variable must equal its first occurrence.
+    const int first = PositionOf(t.var());
+    if (first >= 0 && static_cast<uint32_t>(first) < i) {
+      repeats_.emplace_back(i, static_cast<uint32_t>(first));
     }
   }
-  return true;
 }
 
 Tuple Atom::Project(TupleView fact,
@@ -50,14 +46,6 @@ Tuple Atom::Project(TupleView fact,
     out.PushBack(fact[static_cast<uint32_t>(pos)]);
   }
   return out;
-}
-
-bool Atom::IsIdentityProjection(const std::vector<std::string>& vars) const {
-  if (vars.size() != terms_.size()) return false;
-  for (size_t i = 0; i < vars.size(); ++i) {
-    if (PositionOf(vars[i]) != static_cast<int>(i)) return false;
-  }
-  return true;
 }
 
 int Atom::PositionOf(const std::string& var) const {

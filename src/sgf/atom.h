@@ -6,7 +6,9 @@
 #ifndef GUMBO_SGF_ATOM_H_
 #define GUMBO_SGF_ATOM_H_
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/tuple.h"
@@ -18,7 +20,9 @@ class Atom {
  public:
   Atom() = default;
   Atom(std::string relation, std::vector<Term> terms)
-      : relation_(std::move(relation)), terms_(std::move(terms)) {}
+      : relation_(std::move(relation)), terms_(std::move(terms)) {
+    CompileConformance();
+  }
 
   /// Convenience: atom over fresh variables var_names.
   static Atom Vars(std::string relation,
@@ -42,20 +46,25 @@ class Atom {
   /// Conformance check f |= this (paper §4): positions with equal terms
   /// hold equal values; constant positions hold that constant. The fact's
   /// relation is NOT checked here (callers route facts by relation).
-  /// Takes a zero-copy view; owning Tuples convert implicitly.
-  bool Conforms(TupleView fact) const;
+  /// Takes a zero-copy view; owning Tuples convert implicitly. Compiled
+  /// at construction into raw-word compares, so no string is touched per
+  /// fact (DESIGN.md §7).
+  bool Conforms(TupleView fact) const {
+    if (fact.size() != terms_.size()) return false;
+    const uint64_t* w = fact.words();
+    for (const auto& [pos, raw] : constants_) {
+      if (w[pos] != raw) return false;
+    }
+    for (const auto& [pos, first] : repeats_) {
+      if (w[pos] != w[first]) return false;
+    }
+    return true;
+  }
 
   /// pi_{this;vars}(fact): projects a conforming fact onto the given
   /// variables (each var's first occurrence position). Callers must pass
   /// variables that occur in this atom.
   Tuple Project(TupleView fact, const std::vector<std::string>& vars) const;
-
-  /// Whether projecting onto `vars` reproduces the fact verbatim (every
-  /// position is a distinct variable, listed in term order). When true,
-  /// Project(fact, vars) == fact word-for-word, so scans can reuse the
-  /// fact's stored fingerprint instead of hashing the projection
-  /// (DESIGN.md §7).
-  bool IsIdentityProjection(const std::vector<std::string>& vars) const;
 
   /// First-occurrence position of `var`, or -1.
   int PositionOf(const std::string& var) const;
@@ -86,8 +95,15 @@ class Atom {
   std::string ToString(const Dictionary* dict = nullptr) const;
 
  private:
+  void CompileConformance();
+
   std::string relation_;
   std::vector<Term> terms_;
+  /// Compiled conformance test: (position, raw constant) for every
+  /// constant term, and (position, first position) for every repeated
+  /// occurrence of a variable.
+  std::vector<std::pair<uint32_t, uint64_t>> constants_;
+  std::vector<std::pair<uint32_t, uint32_t>> repeats_;
 };
 
 }  // namespace gumbo::sgf

@@ -474,7 +474,11 @@ TEST(ServiceEdfTest, EarlierDeadlineJumpsTheQueue) {
   // Occupy the single worker, then queue A (loose deadline) before B
   // (tight deadline). EDF must dequeue B first, which shows up as B
   // spending less time in the admission queue than the earlier-queued A.
+  // A and B are queued only once the worker has taken the blocker: a
+  // still-queued blocker has no deadline, sorts last under EDF, and would
+  // rightly let A run first.
   auto blocker = service.Submit(SlowBlocker());
+  while (service.Stats().peak_inflight < 1) std::this_thread::yield();
   serve::QueryOptions loose;
   loose.deadline_ms = 2e6;
   auto a = service.Submit(ParseSgfOrDie(kQuerySmall), loose);

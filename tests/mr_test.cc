@@ -504,14 +504,15 @@ TEST(EngineTest, FilterBuilderAttachesAndAccounts) {
   spec.reducer_factory = [] { return std::make_unique<KeyCountReducer>(); };
   // Filter admits only even keys.
   spec.filter_builder =
-      [](const std::vector<const Relation*>& rels) -> Result<FilterSet> {
-    FilterSet fs;
-    fs.Add(BloomFilter(rels[0]->size(), 0.01));
-    for (RowView t : rels[0]->views()) {
-      if (t[0].AsInt() % 2 == 0) fs.mutable_filter(0)->Insert(Tuple{t[0]}.Hash());
-    }
-    fs.set_scan_mb(rels[0]->SizeMb());
-    return fs;
+      [](const std::vector<const Relation*>& rels) -> Result<FilterPlan> {
+    FilterPlan plan;
+    plan.filters.Add(BloomFilter(rels[0]->size(), 0.01));
+    plan.passes.push_back({0, 0, [](RowView t, uint64_t* h) {
+                             if (t[0].AsInt() % 2 != 0) return false;
+                             *h = Tuple{t[0]}.Hash();
+                             return true;
+                           }});
+    return plan;
   };
 
   Engine engine(SmallCluster());

@@ -2,10 +2,18 @@
 // every operator is validated against the naive reference evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/scheduler.h"
 #include "mr/engine.h"
 #include "mr/program.h"
 #include "ops/chain.h"
 #include "ops/eval.h"
+#include "ops/messages.h"
 #include "ops/msj.h"
 #include "ops/one_round.h"
 #include "sgf/naive_eval.h"
@@ -447,6 +455,150 @@ TEST(ChainTest, UnionProjectDedupes) {
   ASSERT_OK(engine.Run(*job, &db).status());
   EXPECT_EQ(RowsOf(*db.Get("Z").value()),
             (std::vector<std::vector<int64_t>>{{1}, {3}, {5}}));
+}
+
+// ---- Compiled keys and the engine's filter build ---------------------------
+
+// Random atom over R/arity with repeated variables and constants; every
+// variable it uses is returned in `vars` (first-occurrence order).
+sgf::Atom RandomAtom(Xoshiro256* rng, uint32_t arity,
+                     std::vector<std::string>* vars) {
+  std::vector<sgf::Term> terms;
+  for (uint32_t i = 0; i < arity; ++i) {
+    if (rng->Uniform(4) == 0) {
+      terms.push_back(
+          sgf::Term::ConstInt(static_cast<int64_t>(rng->Uniform(3))));
+    } else {
+      terms.push_back(sgf::Term::Var("v" + std::to_string(rng->Uniform(4))));
+    }
+  }
+  sgf::Atom atom("R", std::move(terms));
+  *vars = atom.Variables();
+  return atom;
+}
+
+TEST(ShuffleKeyTest, PositionProjectionMatchesNamedProjection) {
+  Xoshiro256 rng(13);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<std::string> vars;
+    const sgf::Atom atom =
+        RandomAtom(&rng, static_cast<uint32_t>(rng.Uniform(6)), &vars);
+    // A random ordered subset of the atom's variables — sometimes all of
+    // them in term order, which may be an identity projection.
+    std::vector<std::string> key_vars;
+    for (const std::string& v : vars) {
+      if (rng.Uniform(3) != 0) key_vars.push_back(v);
+    }
+    if (rng.Uniform(2) == 0) std::reverse(key_vars.begin(), key_vars.end());
+    const KeyProjection proj = KeyProjection::Of(atom, key_vars);
+    ShuffleKey key;
+    std::vector<uint64_t> gathered;
+    for (int f = 0; f < 20; ++f) {
+      Tuple fact;
+      for (uint32_t i = 0; i < atom.arity(); ++i) {
+        fact.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(5))));
+      }
+      const RowView row(fact.raw_words(), fact.size(), fact.Hash());
+      const Tuple expected = atom.Project(fact, key_vars);
+      EXPECT_EQ(ShuffleKeyHash(proj, row), expected.Hash()) << atom.ToString();
+      key.Select(proj, row);
+      EXPECT_EQ(key.key.ToTuple(), expected);
+      EXPECT_EQ(key.hash, expected.Hash());
+      EXPECT_EQ(proj.Gather(row, &gathered).ToTuple(), expected);
+      // Prefixed keys: (7, 9, projection...).
+      Tuple prefixed = Tuple::Ints({7, 9});
+      for (const Value& v : expected) prefixed.PushBack(v);
+      key.Compose({Value::Int(7).raw(), Value::Int(9).raw()}, proj, row);
+      EXPECT_EQ(key.key.ToTuple(), prefixed);
+      EXPECT_EQ(key.hash, prefixed.Hash());
+    }
+  }
+}
+
+// The filter sets the operators declare, over random relations: an MSJ
+// job with shared and distinct conditions on several inputs, a 1-ROUND
+// disjunction across keys, and a chain step.
+std::vector<mr::JobSpec> FilteredJobs() {
+  const sgf::Atom guard = sgf::Atom::Vars("R", {"x", "y", "z"});
+  auto eq = [&](const std::string& out, const sgf::Atom& cond) {
+    return SemiJoinEquation{out, guard, "R", cond, cond.relation()};
+  };
+  std::vector<SemiJoinEquation> eqs = {
+      eq("X0", sgf::Atom::Vars("S", {"x", "q"})),
+      eq("X1", sgf::Atom::Vars("S", {"x", "r"})),  // shares X0's condition
+      eq("X2", sgf::Atom::Vars("S", {"y", "x"})),
+      eq("X3", sgf::Atom::Vars("T", {"z", "z"})),
+      eq("X4", sgf::Atom::Vars("R", {"y", "z", "q"}))};
+  std::vector<mr::JobSpec> jobs;
+  jobs.push_back(BuildMsjJob(eqs, OpOptions{}, "msj").value());
+  OneRoundTask task;
+  task.query = ParseBsgfOrDie(
+      "Z := SELECT (x, y) FROM R(x, y, z) WHERE S(x, q) OR T(z, z) OR "
+      "S(x, r);");
+  task.guard_dataset = "R";
+  task.conditional_datasets = {"S", "T", "S"};
+  task.output_dataset = "Z";
+  jobs.push_back(BuildOneRoundJob({task}, OpOptions{}, "one_round").value());
+  ChainStepSpec step;
+  step.guard = guard;
+  step.input_dataset = "R";
+  step.conditional = sgf::Atom::Vars("T", {"y", "w"});
+  step.conditional_dataset = "T";
+  step.filter_guard_pattern = true;
+  step.output_dataset = "C";
+  jobs.push_back(BuildChainStepJob(step, OpOptions{}, "chain").value());
+  return jobs;
+}
+
+TEST(FilterBuildTest, ParallelBuildEqualsSerialInsert) {
+  Xoshiro256 rng(5);
+  Database db;
+  for (const auto& [name, arity] :
+       std::vector<std::pair<std::string, uint32_t>>{{"R", 3}, {"S", 2},
+                                                     {"T", 2}}) {
+    Relation rel(name, arity);
+    for (int i = 0; i < 3000; ++i) {
+      Tuple t;
+      for (uint32_t a = 0; a < arity; ++a) {
+        t.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(400))));
+      }
+      ASSERT_OK(rel.Add(std::move(t)));
+    }
+    db.Put(std::move(rel));
+  }
+  for (const mr::JobSpec& job : FilteredJobs()) {
+    std::vector<const Relation*> rels;
+    for (const mr::JobInput& in : job.inputs) {
+      rels.push_back(db.Get(in.dataset).value());
+    }
+    auto plan = job.filter_builder(rels);
+    ASSERT_OK(plan) << job.name;
+    ASSERT_FALSE(plan->passes.empty()) << job.name;
+    // The reference: every pass inserted in declaration order, serially.
+    mr::FilterSet serial = plan->filters;
+    for (const mr::FilterPass& pass : plan->passes) {
+      uint64_t h = 0;
+      for (RowView fact : rels[pass.input]->views()) {
+        if (pass.key(fact, &h)) serial.mutable_filter(pass.filter)->Insert(h);
+      }
+    }
+    for (size_t f = 0; f < serial.size(); ++f) {
+      if (plan->filters.filter(f).SizeBytes() == 0.0) continue;
+      EXPECT_NE(serial.filter(f), plan->filters.filter(f))
+          << job.name << " filter " << f << " stayed empty";
+    }
+    for (size_t workers : {1u, 2u, 8u}) {
+      Scheduler scheduler(workers);
+      SchedContext ctx;
+      ctx.scheduler = &scheduler;
+      const mr::FilterSet built = mr::BuildFilters(*plan, rels, ctx);
+      ASSERT_EQ(built.size(), serial.size());
+      for (size_t f = 0; f < serial.size(); ++f) {
+        EXPECT_EQ(built.filter(f), serial.filter(f))
+            << job.name << " filter " << f << " at " << workers << " workers";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -505,6 +505,119 @@ TEST(GoldenPlanTest, PaperQueriesPlanAsRecorded) {
   }
 }
 
+// What executing each paper query's plan counted per job, recorded before
+// the operators compiled their atoms and the engine took over the Bloom
+// filter build (DESIGN.md §5.2), which must leave every count and modeled
+// time unchanged. Covers the benchmark's strategies plus SEQ (chain
+// steps) and 1-ROUND where the query qualifies.
+struct GoldenJobCounters {
+  double filter_mb;
+  double filter_build_cost;
+  uint64_t filtered_messages;
+  uint64_t shuffle_records;
+  uint64_t shuffle_messages;
+  uint64_t combined_messages;
+  double shuffle_mb;
+};
+
+struct GoldenCounters {
+  const char* query;
+  const char* strategy;
+  double net_time;
+  double total_time;
+  std::vector<GoldenJobCounters> jobs;
+};
+
+const std::vector<GoldenCounters>& GoldenCounterSets() {
+  static const std::vector<GoldenCounters> kCounters = {
+#include "golden_counters.inc"
+  };
+  return kCounters;
+}
+
+std::string GoldenCounterEntry(const std::string& query, Strategy strategy,
+                               const ExecutionResult& result) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "{\"" << query << "\", \"" << StrategyName(strategy) << "\", "
+      << result.metrics.net_time << ", " << result.metrics.total_time
+      << ",\n {";
+  for (size_t j = 0; j < result.stats.jobs.size(); ++j) {
+    const mr::JobStats& js = result.stats.jobs[j];
+    out << (j > 0 ? ",\n  " : "") << "{" << js.filter_mb << ", "
+        << js.filter_build_cost << ", " << js.filtered_messages << ", "
+        << js.shuffle_records << ", " << js.shuffle_messages << ", "
+        << js.combined_messages << ", " << js.shuffle_mb << "}";
+  }
+  out << "}},\n";
+  return out.str();
+}
+
+TEST(GoldenCounterTest, PaperQueriesCountAsRecorded) {
+  const char* kQueries[] = {"A1", "A2", "A3", "A4", "A5", "B1",
+                            "B2", "C1", "C2", "C3", "C4"};
+  std::string actual;
+  size_t gi = 0;
+  for (const char* query : kQueries) {
+    const std::string name = query;
+    std::vector<Strategy> strategies;
+    if (name[0] == 'C') {
+      strategies = {Strategy::kGreedySgf};
+    } else {
+      strategies = {Strategy::kGreedy, Strategy::kSeq, Strategy::kOneRound};
+    }
+    for (Strategy strategy : strategies) {
+      auto w = MakePaperWorkload(name, SmallData());
+      ASSERT_OK(w);
+      PlannerOptions opts;
+      opts.strategy = strategy;
+      opts.sample_size = 64;
+      auto plan = Planner(TestCluster(), opts).Plan(w->query, w->db);
+      // 1-ROUND plans only the queries that qualify for it.
+      if (strategy == Strategy::kOneRound && !plan.ok()) continue;
+      ASSERT_OK(plan) << name;
+      mr::Engine engine(TestCluster());
+      Database db = w->db;
+      auto result = ExecutePlan(*plan, &engine, &db);
+      ASSERT_OK(result) << name;
+      actual += GoldenCounterEntry(name, strategy, *result);
+      if (gi >= GoldenCounterSets().size()) {
+        ADD_FAILURE() << "no golden counters for " << name << " "
+                      << StrategyName(strategy);
+        continue;
+      }
+      const GoldenCounters& golden = GoldenCounterSets()[gi++];
+      const std::string where = name + " " + StrategyName(strategy);
+      EXPECT_EQ(golden.query, name);
+      EXPECT_EQ(golden.strategy, std::string(StrategyName(strategy)));
+      EXPECT_EQ(result->metrics.net_time, golden.net_time) << where;
+      EXPECT_EQ(result->metrics.total_time, golden.total_time) << where;
+      ASSERT_EQ(result->stats.jobs.size(), golden.jobs.size()) << where;
+      for (size_t j = 0; j < golden.jobs.size(); ++j) {
+        const mr::JobStats& js = result->stats.jobs[j];
+        const GoldenJobCounters& g = golden.jobs[j];
+        EXPECT_EQ(js.filter_mb, g.filter_mb) << where << " job " << j;
+        EXPECT_EQ(js.filter_build_cost, g.filter_build_cost)
+            << where << " job " << j;
+        EXPECT_EQ(js.filtered_messages, g.filtered_messages)
+            << where << " job " << j;
+        EXPECT_EQ(js.shuffle_records, g.shuffle_records)
+            << where << " job " << j;
+        EXPECT_EQ(js.shuffle_messages, g.shuffle_messages)
+            << where << " job " << j;
+        EXPECT_EQ(js.combined_messages, g.combined_messages)
+            << where << " job " << j;
+        EXPECT_EQ(js.shuffle_mb, g.shuffle_mb) << where << " job " << j;
+      }
+    }
+  }
+  EXPECT_EQ(gi, GoldenCounterSets().size());
+  if (HasFailure()) {
+    ADD_FAILURE() << "actual counters, in golden_counters.inc form:\n"
+                  << actual;
+  }
+}
+
 TEST(PlannerTest, StrategyNamesRoundTrip) {
   for (Strategy s : {Strategy::kSeq, Strategy::kPar, Strategy::kGreedy,
                      Strategy::kOpt, Strategy::kOneRound, Strategy::kSeqUnit,

@@ -2,6 +2,10 @@
 // and the naive reference evaluator (including the paper's Examples 1-3).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "sgf/analyzer.h"
 #include "sgf/atom.h"
 #include "sgf/condition.h"
@@ -32,6 +36,65 @@ TEST(AtomTest, ConformsChecksConstants) {
   EXPECT_FALSE(a.Conforms(Tuple::Ints({1, 5, 1, 3})));  // constant mismatch
   EXPECT_FALSE(a.Conforms(Tuple::Ints({1, 2, 7, 3})));  // equality violated
   EXPECT_FALSE(a.Conforms(Tuple::Ints({1, 2, 1})));     // arity mismatch
+}
+
+// Conformance interpreted term by term — the reference the compiled
+// Atom::Conforms must match: a constant position holds that constant, and
+// a variable's later occurrence equals its first.
+bool ReferenceConforms(const Atom& atom, TupleView fact) {
+  const std::vector<Term>& terms = atom.terms();
+  if (fact.size() != terms.size()) return false;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const Term& t = terms[i];
+    if (t.is_constant()) {
+      if (fact[i] != t.value()) return false;
+    } else {
+      for (size_t j = 0; j < i; ++j) {
+        if (terms[j].is_variable() && terms[j].var() == t.var()) {
+          if (fact[i] != fact[j]) return false;
+          break;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+TEST(AtomTest, CompiledConformsMatchesReference) {
+  Xoshiro256 rng(20261017);
+  size_t conforming = 0;
+  for (int round = 0; round < 400; ++round) {
+    // Arity 0..6 over a tiny variable and constant pool: repeated
+    // variables and constants are common.
+    const uint32_t arity = static_cast<uint32_t>(rng.Uniform(7));
+    std::vector<Term> terms;
+    for (uint32_t i = 0; i < arity; ++i) {
+      if (rng.Uniform(3) == 0) {
+        terms.push_back(Term::ConstInt(static_cast<int64_t>(rng.Uniform(3))));
+      } else {
+        terms.push_back(Term::Var("v" + std::to_string(rng.Uniform(3))));
+      }
+    }
+    const Atom atom("R", terms);
+    for (int f = 0; f < 50; ++f) {
+      // Mostly the atom's arity, sometimes one off in either direction.
+      uint32_t fact_arity = arity;
+      const uint64_t roll = rng.Uniform(8);
+      if (roll == 0) fact_arity = arity + 1;
+      if (roll == 1 && arity > 0) fact_arity = arity - 1;
+      Tuple fact;
+      for (uint32_t i = 0; i < fact_arity; ++i) {
+        fact.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(3))));
+      }
+      const bool expected = ReferenceConforms(atom, fact);
+      EXPECT_EQ(atom.Conforms(fact), expected)
+          << atom.ToString() << " on " << fact.ToString();
+      conforming += expected ? 1 : 0;
+    }
+  }
+  // Both answers occur often enough to mean something.
+  EXPECT_GT(conforming, 1000u);
+  EXPECT_LT(conforming, 19000u);
 }
 
 TEST(AtomTest, ProjectionUsesFirstOccurrence) {

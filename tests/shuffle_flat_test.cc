@@ -238,15 +238,42 @@ TEST(ShuffleFlatTest, MatchesReferenceRepresentationOnRandomStreams) {
       std::vector<std::vector<std::pair<Tuple, CollectedMessage>>> emissions(
           num_tasks);
       Shuffle shuffle(num_tasks, pack);
+      // Two long keys saturate the refs' arity hint (>= 255 words): one
+      // a 256-word prefix of the other, so only the real arities differ.
+      // The longer key's last word is picked so both land in the same
+      // partition, where the sort and the grouping must tell them apart.
+      Tuple long_prefix;
+      for (uint32_t i = 0; i < 256; ++i) {
+        long_prefix.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(3))));
+      }
+      Tuple long_key;
+      for (int64_t last = 0;; ++last) {
+        long_key = long_prefix;
+        while (long_key.size() < 299) long_key.PushBack(Value::Int(1));
+        long_key.PushBack(Value::Int(last));
+        if (Shuffle::PartitionIndex(long_key.Hash(), r) ==
+            Shuffle::PartitionIndex(long_prefix.Hash(), r)) {
+          break;
+        }
+      }
       for (size_t ti = 0; ti < num_tasks; ++ti) {
         MapOutputBuffer buffer;
         const size_t n = 100 + rng.Uniform(100);
         for (size_t e = 0; e < n; ++e) {
-          // Small key domain -> plenty of shared keys; mixed arity.
+          // Small word domain -> plenty of shared keys, and words 0 and 1
+          // often tie between distinct keys; arities 0..5 cover keys that
+          // end inside and past the refs' two inlined words.
           Tuple key;
-          const uint32_t key_arity = 1 + rng.Uniform(2);
-          for (uint32_t i = 0; i < key_arity; ++i) {
-            key.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(8))));
+          const uint64_t pick = rng.Uniform(64);
+          if (pick == 0) {
+            key = long_key;
+          } else if (pick == 1) {
+            key = long_prefix;
+          } else {
+            const uint32_t key_arity = rng.Uniform(6);
+            for (uint32_t i = 0; i < key_arity; ++i) {
+              key.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(3))));
+            }
           }
           CollectedMessage msg;
           msg.tag = 1 + static_cast<uint32_t>(rng.Uniform(2));
