@@ -137,7 +137,7 @@ DistResult RunDistributed(const std::string& name, int shards, size_t tuples,
     return r;
   }
   mr::Engine engine(config);
-  auto ref = plan::ExecutePlan(*plan, &engine, &w->db);
+  auto ref = plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &w->db);
   if (!ref.ok()) {
     r.error = "reference: " + ref.status().ToString();
     return r;

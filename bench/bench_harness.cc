@@ -13,9 +13,6 @@ BenchOptions BenchOptions::FromEnv() {
   BenchOptions o;
   o.tuples = cfg.bench_tuples.value_or(o.tuples);
   o.seed = cfg.bench_seed.value_or(o.seed);
-  if (cfg.bench_sequential.value_or(false)) {
-    o.runtime.concurrent_jobs = false;
-  }
   return o;
 }
 
@@ -29,14 +26,13 @@ CellResult RunStrategy(const data::Workload& w, plan::Strategy strategy,
   popts.op = op;
   plan::Planner planner(options.cluster, popts);
   mr::Engine engine(options.cluster);
-  mr::Runtime runtime(&engine, options.runtime);
-  Database db = w.db;
-  auto plan = planner.Plan(w.query, db);
+  auto plan = planner.Plan(w.query, w.db);
   if (!plan.ok()) {
     cell.error = plan.status().ToString();
     return cell;
   }
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  Database outputs;
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, w.db, &outputs);
   if (!result.ok()) {
     cell.error = result.status().ToString();
     return cell;
@@ -55,9 +51,8 @@ CellResult RunBaseline(const data::Workload& w, baselines::BaselineKind kind,
     return cell;
   }
   mr::Engine engine(options.cluster);
-  mr::Runtime runtime(&engine, options.runtime);
-  Database db = w.db;
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  Database outputs;
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, w.db, &outputs);
   if (!result.ok()) {
     cell.error = result.status().ToString();
     return cell;

@@ -4,10 +4,8 @@
 // paper's §5 as console output (see EXPERIMENTS.md for the mapping).
 //
 // Environment knobs:
-//   GUMBO_BENCH_TUPLES     — materialized tuples per relation (default 100000)
-//   GUMBO_BENCH_SEED       — generator seed (default 42)
-//   GUMBO_BENCH_SEQUENTIAL — 1: run jobs of a round one-by-one instead of
-//                            concurrently (A/B against the round runtime)
+//   GUMBO_BENCH_TUPLES — materialized tuples per relation (default 100000)
+//   GUMBO_BENCH_SEED   — generator seed (default 42)
 //
 // Relations always *represent* the paper's sizes (100M tuples, 4 GB
 // guards) through the representation scale, so reported bytes and
@@ -22,7 +20,6 @@
 #include "common/table_printer.h"
 #include "cost/constants.h"
 #include "data/workloads.h"
-#include "mr/runtime.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 
@@ -35,9 +32,6 @@ struct BenchOptions {
   /// Tuples each relation represents (the paper's 100M by default).
   double represented_tuples = 100e6;
   cost::ClusterConfig cluster;  // paper testbed defaults
-  /// Round-runtime behavior (GUMBO_BENCH_SEQUENTIAL=1 disables in-round
-  /// job concurrency for A/B wall-clock comparisons).
-  mr::RuntimeOptions runtime;
 
   data::GeneratorConfig MakeGeneratorConfig() const {
     data::GeneratorConfig g;

@@ -109,13 +109,13 @@ void BM_EngineMsjJob(benchmark::State& state) {
   plan::Planner planner(config, popts);
   mr::Engine engine(config);
   for (auto _ : state) {
-    Database db = w->db;
-    auto plan = planner.Plan(w->query, db);
+    auto plan = planner.Plan(w->query, w->db);
     if (!plan.ok()) {
       state.SkipWithError("plan");
       return;
     }
-    auto result = plan::ExecutePlan(*plan, &engine, &db);
+    Database outputs;
+    auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &outputs);
     if (!result.ok()) {
       state.SkipWithError("exec");
       return;

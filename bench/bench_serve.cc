@@ -102,7 +102,7 @@ struct ModeResult {
 
 // Byte-identity check of one response against the solo reference outputs
 // — same relation set, same words, same fingerprints.
-bool Identical(const serve::QueryResponse& resp, const Database& ref) {
+bool Identical(const serve::Response& resp, const Database& ref) {
   if (resp.outputs.size() != ref.size()) return false;
   for (const auto& [name, rel] : ref.relations()) {
     const auto got = resp.outputs.Get(name);
@@ -135,7 +135,7 @@ ModeResult RunClosedLoop(const std::string& name, const Database& db,
     threads.emplace_back([&, c] {
       for (size_t k = 0; k < per_client; ++k) {
         const size_t pick = (c + k) % queries.size();
-        serve::QueryResponse resp = service.Run(queries[pick]);
+        serve::Response resp = service.Run(queries[pick]);
         if (!resp.ok() || !Identical(resp, refs[pick])) {
           ok.store(false);
           return;
@@ -172,7 +172,7 @@ ModeResult RunOpenLoop(const Database& db,
   r.cache = opts.plan_cache;
 
   serve::QueryService service(&db, opts);
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   futures.reserve(total);
   const double interval_s = offered_qps > 0.0 ? 1.0 / offered_qps : 0.0;
   const double t0 = Now();
@@ -186,7 +186,7 @@ ModeResult RunOpenLoop(const Database& db,
   std::vector<double> all;
   bool ok = true;
   for (size_t k = 0; k < futures.size(); ++k) {
-    serve::QueryResponse resp = futures[k].get();
+    serve::Response resp = futures[k].get();
     ok = ok && resp.ok() && Identical(resp, refs[k % refs.size()]);
     all.push_back(resp.wall_ms);
   }
@@ -295,7 +295,7 @@ WriteHeavyResult RunWriteHeavy(
       threads.emplace_back([&, c] {
         for (size_t k = 0; k < reads_per_client_per_phase; ++k) {
           const size_t pick = (c + k) % queries.size();
-          serve::QueryResponse resp = service.Run(queries[pick]);
+          serve::Response resp = service.Run(queries[pick]);
           if (!resp.ok() || !Identical(resp, refs[pick])) {
             ok.store(false);
             return;
@@ -383,22 +383,18 @@ int main(int argc, char** argv) {
   mr::Engine engine(cluster);
   std::vector<Database> refs;
   for (const sgf::SgfQuery& q : queries) {
-    Database copy = db;
-    auto plan = planner.Plan(q, copy);
+    auto plan = planner.Plan(q, db);
     if (!plan.ok()) {
       std::fprintf(stderr, "FAIL: solo plan: %s\n",
                    plan.status().ToString().c_str());
       return 1;
     }
-    auto run = plan::ExecutePlan(*plan, &engine, &copy);
+    Database outputs;
+    auto run = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &outputs);
     if (!run.ok()) {
       std::fprintf(stderr, "FAIL: solo run: %s\n",
                    run.status().ToString().c_str());
       return 1;
-    }
-    Database outputs;
-    for (const auto& sub : q.subqueries()) {
-      outputs.Put(*copy.Get(sub.output()).value());
     }
     refs.push_back(std::move(outputs));
   }
@@ -415,7 +411,6 @@ int main(int argc, char** argv) {
     // on its own terms (RunWriteHeavy overrides this per run).
     o.result_cache = false;
     o.cluster = cluster;
-    o.runtime = options.runtime;
     return o;
   };
   int failures = 0;
@@ -502,7 +497,7 @@ int main(int argc, char** argv) {
           serve::QueryOptions qo;
           qo.deadline_ms = deadline_ms;
           qo.priority = SchedPriority::kHigh;
-          serve::QueryResponse resp = service.Run(queries[pick], qo);
+          serve::Response resp = service.Run(queries[pick], qo);
           std::lock_guard<std::mutex> lock(mu);
           if (resp.ok()) {
             ++fg_ok;
@@ -521,7 +516,7 @@ int main(int argc, char** argv) {
     // a shed submission never throttles the flood).
     for (size_t c = 0; c < 4; ++c) {
       threads.emplace_back([&, c] {
-        std::vector<std::future<serve::QueryResponse>> futures;
+        std::vector<std::future<serve::Response>> futures;
         std::vector<double> submit_ms;
         for (size_t k = 0; k < per_client; ++k) {
           serve::QueryOptions qo;
@@ -532,7 +527,7 @@ int main(int argc, char** argv) {
           submit_ms.push_back((Now() - t) * 1e3);
         }
         for (size_t k = 0; k < futures.size(); ++k) {
-          serve::QueryResponse resp = futures[k].get();
+          serve::Response resp = futures[k].get();
           std::lock_guard<std::mutex> lock(mu);
           if (resp.ok()) {
             ++flood_ok;
@@ -622,18 +617,15 @@ int main(int argc, char** argv) {
         }
       }
       for (const sgf::SgfQuery& q : queries) {
-        Database copy = evolving;
-        auto plan = planner.Plan(q, copy);
-        auto run = plan.ok() ? plan::ExecutePlan(*plan, &engine, &copy)
+        auto plan = planner.Plan(q, evolving);
+        Database outputs;
+        auto run = plan.ok() ? plan::ExecutePlanOnSnapshot(*plan, &engine,
+                                                           evolving, &outputs)
                              : Result<plan::ExecutionResult>(plan.status());
         if (!run.ok()) {
           std::fprintf(stderr, "FAIL: write-heavy reference run: %s\n",
                        run.status().ToString().c_str());
           return 1;
-        }
-        Database outputs;
-        for (const auto& sub : q.subqueries()) {
-          outputs.Put(*copy.Get(sub.output()).value());
         }
         phase_refs[phase].push_back(std::move(outputs));
       }

@@ -64,9 +64,8 @@ StudyRun RunOne(const sgf::SgfQuery& query, const Database& db,
   auto plan = planner.Plan(query, db);
   if (!plan.ok()) return {};
   mr::Engine engine(cluster);
-  mr::Runtime runtime(&engine);
   Database out;
-  auto run = plan::ExecutePlanOnSnapshot(*plan, runtime, db, &out);
+  auto run = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &out);
   if (!run.ok()) return {};
   if (feed != nullptr) plan::CalibrateFromExecution(*plan, run->stats, feed);
   // ChoosePlan ranks by summed estimated job cost — the §5.3 total-time

@@ -64,7 +64,7 @@ int main() {
     return 1;
   }
   std::printf("Plan:\n%s\n", plan->description.c_str());
-  auto result = plan::ExecutePlan(*plan, &engine, &db);
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &db);
   if (!result.ok()) {
     std::fprintf(stderr, "execution error: %s\n",
                  result.status().ToString().c_str());

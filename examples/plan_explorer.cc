@@ -71,15 +71,15 @@ int main(int argc, char** argv) {
     plan::PlannerOptions options;
     options.strategy = s;
     plan::Planner planner(cluster, options);
-    Database work = db;
-    auto plan = planner.Plan(*query, work);
+    auto plan = planner.Plan(*query, db);
     std::printf("\n=== %s ===\n", StrategyName(s));
     if (!plan.ok()) {
       std::printf("not applicable: %s\n", plan.status().ToString().c_str());
       continue;
     }
     std::printf("%s", plan->description.c_str());
-    auto result = plan::ExecutePlan(*plan, &engine, &work);
+    Database outputs;
+    auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &outputs);
     if (!result.ok()) {
       std::printf("execution failed: %s\n",
                   result.status().ToString().c_str());
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
         result->metrics.peak_concurrent_jobs, result->metrics.wall_ms);
     for (const auto& q : query->subqueries()) {
       std::printf("  %s: %zu tuples\n", q.output().c_str(),
-                  work.Get(q.output()).value()->size());
+                  outputs.Get(q.output()).value()->size());
     }
   }
   return 0;

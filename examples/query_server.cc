@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    serve::QueryResponse resp = service.Run(std::move(*query));
+    serve::Response resp = service.Run(std::move(*query));
     if (!resp.ok()) {
       std::printf("error: %s\n", resp.status.ToString().c_str());
       continue;

@@ -55,14 +55,14 @@ int main() {
     plan::PlannerOptions options;
     options.strategy = s;
     plan::Planner planner(cluster, options);
-    Database work = db;
-    auto plan = planner.Plan(*query, work);
+    auto plan = planner.Plan(*query, db);
     if (!plan.ok()) {
       std::fprintf(stderr, "%s: %s\n", StrategyName(s),
                    plan.status().ToString().c_str());
       continue;
     }
-    auto result = plan::ExecutePlan(*plan, &engine, &work);
+    Database outputs;
+    auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &outputs);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", StrategyName(s),
                    result.status().ToString().c_str());
@@ -70,7 +70,7 @@ int main() {
     }
     std::printf("%-10s %12.2f %12.2f %8d %8zu\n", StrategyName(s),
                 result->metrics.net_time, result->metrics.total_time,
-                result->metrics.jobs, work.Get("Orphans").value()->size());
+                result->metrics.jobs, outputs.Get("Orphans").value()->size());
   }
   std::printf(
       "\nAll strategies return the same orphan set; 1-ROUND does it in a "

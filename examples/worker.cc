@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   dist::Cluster cluster{&transport, args.shard, args.shards};
   plan::ExecutionContext ectx;
   ectx.cluster = &cluster;
-  auto result = plan::ExecutePlan(*plan, &engine, &db, ectx);
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &db, ectx);
   if (!result.ok()) {
     std::fprintf(stderr, "worker %d: execute: %s\n", args.shard,
                  result.status().ToString().c_str());

@@ -349,7 +349,6 @@ Status PlanHparQuery(const sgf::BsgfQuery& q, plan::QueryPlan* plan,
           {arity + static_cast<uint32_t>(a), a});
     }
     loj.output_dataset = "__hive_" + q.output() + "_loj";
-    plan->intermediates.push_back(loj.output_dataset);
     loj.overhead = kHiveOverhead;
     GUMBO_ASSIGN_OR_RETURN(
         mr::JobSpec spec,
@@ -367,8 +366,7 @@ Status PlanHparQuery(const sgf::BsgfQuery& q, plan::QueryPlan* plan,
       loj.atoms.push_back({atoms[a], atoms[a].relation()});
       loj.output_dataset =
           "__hive_" + q.output() + "_loj" + std::to_string((*counter)++);
-      plan->intermediates.push_back(loj.output_dataset);
-      loj.overhead = kHiveOverhead;
+        loj.overhead = kHiveOverhead;
       GUMBO_ASSIGN_OR_RETURN(
           mr::JobSpec spec,
           BuildLojJob(loj, "HIVE-LOJ(" + q.output() + "/" +
@@ -409,7 +407,6 @@ Status PlanHparsQuery(const sgf::BsgfQuery& q, plan::QueryPlan* plan,
   for (size_t a = 0; a < q.num_conditional_atoms(); ++a) {
     std::string x =
         "__hives_" + q.output() + "_x" + std::to_string((*counter)++);
-    plan->intermediates.push_back(x);
     GUMBO_ASSIGN_OR_RETURN(
         mr::JobSpec spec,
         BuildSemiFullJob(q.guard(), q.guard().relation(),
@@ -444,7 +441,6 @@ Status PlanPparQuery(const sgf::BsgfQuery& q, plan::QueryPlan* plan,
                          q.conditional_atoms()[a].relation()});
     loj.output_dataset =
         "__pig_" + q.output() + "_cg" + std::to_string((*counter)++);
-    plan->intermediates.push_back(loj.output_dataset);
     loj.overhead = kPigOverhead;
     loj.allocation = mr::ReducerAllocation::kByMapInputSize;
     GUMBO_ASSIGN_OR_RETURN(

@@ -109,12 +109,6 @@ RuntimeConfig RuntimeConfig::FromEnv() {
     c.result_cache_cap = static_cast<size_t>(std::atoll(v));
   }
 
-  if (auto v = U64Prefix(std::getenv("GUMBO_SHARDS")); v && *v > 0) {
-    c.shards = static_cast<int>(*v);
-  }
-  c.transport = NonEmptyStr(std::getenv("GUMBO_TRANSPORT"));
-  c.dist_dir = NonEmptyStr(std::getenv("GUMBO_DIST_DIR"));
-
   c.soak_seed = U64Strict(std::getenv("GUMBO_SOAK_SEED"));
   c.soak_iters = U64Strict(std::getenv("GUMBO_SOAK_ITERS"));
   c.soak_tuples = U64Strict(std::getenv("GUMBO_SOAK_TUPLES"));
@@ -127,7 +121,6 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   if (const char* v = std::getenv("GUMBO_BENCH_SEED")) {
     c.bench_seed = std::strtoull(v, nullptr, 10);
   }
-  c.bench_sequential = Flag(std::getenv("GUMBO_BENCH_SEQUENTIAL"));
   // Presence alone enables phase output (even "0" did historically).
   if (std::getenv("GUMBO_BENCH_PHASES") != nullptr) c.bench_phases = true;
   return c;
@@ -154,16 +147,12 @@ std::string RuntimeConfig::Describe() const {
   DescribeKnob(&s, "GUMBO_FAULT_SITES", fault_sites);
   DescribeKnob(&s, "GUMBO_DISABLE_DELTA", disable_delta);
   DescribeKnob(&s, "GUMBO_RESULT_CACHE_CAP", result_cache_cap);
-  DescribeKnob(&s, "GUMBO_SHARDS", shards);
-  DescribeKnob(&s, "GUMBO_TRANSPORT", transport);
-  DescribeKnob(&s, "GUMBO_DIST_DIR", dist_dir);
   DescribeKnob(&s, "GUMBO_SOAK_SEED", soak_seed);
   DescribeKnob(&s, "GUMBO_SOAK_ITERS", soak_iters);
   DescribeKnob(&s, "GUMBO_SOAK_TUPLES", soak_tuples);
   DescribeKnob(&s, "GUMBO_SOAK_MUTATE", soak_mutate);
   DescribeKnob(&s, "GUMBO_BENCH_TUPLES", bench_tuples);
   DescribeKnob(&s, "GUMBO_BENCH_SEED", bench_seed);
-  DescribeKnob(&s, "GUMBO_BENCH_SEQUENTIAL", bench_sequential);
   DescribeKnob(&s, "GUMBO_BENCH_PHASES", bench_phases);
   return s;
 }

@@ -41,11 +41,6 @@ struct RuntimeConfig {
   std::optional<bool> disable_delta;        ///< GUMBO_DISABLE_DELTA
   std::optional<size_t> result_cache_cap;   ///< GUMBO_RESULT_CACHE_CAP
 
-  // ---- Distribution (DESIGN.md §13) ----
-  std::optional<int> shards;             ///< GUMBO_SHARDS (> 0 worker shards)
-  std::optional<std::string> transport;  ///< GUMBO_TRANSPORT (inproc | mmap)
-  std::optional<std::string> dist_dir;   ///< GUMBO_DIST_DIR (mmap mailbox)
-
   // ---- Soak harness ----
   std::optional<uint64_t> soak_seed;    ///< GUMBO_SOAK_SEED
   std::optional<uint64_t> soak_iters;   ///< GUMBO_SOAK_ITERS
@@ -55,7 +50,6 @@ struct RuntimeConfig {
   // ---- Benchmarks ----
   std::optional<size_t> bench_tuples;     ///< GUMBO_BENCH_TUPLES (>= 100)
   std::optional<uint64_t> bench_seed;     ///< GUMBO_BENCH_SEED
-  std::optional<bool> bench_sequential;   ///< GUMBO_BENCH_SEQUENTIAL
   std::optional<bool> bench_phases;       ///< GUMBO_BENCH_PHASES (presence)
 
   /// Fresh parse of the process environment. Unparseable values leave

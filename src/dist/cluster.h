@@ -3,23 +3,9 @@
 #ifndef GUMBO_DIST_CLUSTER_H_
 #define GUMBO_DIST_CLUSTER_H_
 
-#include <string>
-
 #include "dist/transport.h"
 
 namespace gumbo::dist {
-
-/// How a caller asks for sharded execution (serve::ServiceOptions,
-/// bench flags, GUMBO_SHARDS / GUMBO_TRANSPORT / GUMBO_DIST_DIR).
-struct ClusterOptions {
-  /// Worker shards. 1 = single-process execution, no transport at all.
-  int shards = 1;
-  /// "inproc" (threads in this process) or "mmap" (directory mailbox,
-  /// one process per shard).
-  std::string transport = "inproc";
-  /// Mailbox root for the mmap transport; ignored by inproc.
-  std::string dir;
-};
 
 /// One shard's identity within a running cluster. Plain aggregate: the
 /// transport is borrowed and must outlive every execution using it.

@@ -12,6 +12,7 @@
 #include "common/cancel.h"
 #include "dist/wire.h"
 #include "mr/engine.h"
+#include "mr/runtime.h"
 #include "mr/shuffle.h"
 
 namespace gumbo::dist {
@@ -433,8 +434,7 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
   Transport* tp = cluster_.transport;
   if (S <= 1) {
     // Degenerate cluster: the single-process runtime IS the semantics.
-    mr::Runtime rt(engine_, options_);
-    return rt.Execute(program, db, ctx);
+    return mr::Runtime(engine_).Execute(program, db, ctx);
   }
   if (tp == nullptr || tp->endpoints() < S) {
     return Status::InvalidArgument(
@@ -522,7 +522,7 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
     stats.round_stats.push_back(std::move(rs));
   }
 
-  stats.rounds = program.Rounds();
+  stats.rounds = static_cast<int>(rounds.size());
   stats.wall_ms = ms_since(program_start);
   for (const mr::JobStats& js : stats.jobs) stats.total_time += js.TotalCost();
   std::vector<std::vector<size_t>> deps;
@@ -535,12 +535,8 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
 Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
                                              const mr::Program& program,
                                              Database* db, int shards,
-                                             const SchedContext& ctx,
-                                             mr::RuntimeOptions options) {
-  if (shards <= 1) {
-    mr::Runtime rt(engine, options);
-    return rt.Execute(program, db, ctx);
-  }
+                                             const SchedContext& ctx) {
+  if (shards <= 1) return mr::Runtime(engine).Execute(program, db, ctx);
   InProcTransport tp(shards);
   // Every shard — coordinator included — executes against its own
   // overlay replica: the shared base stays immutable while any shard
@@ -558,7 +554,7 @@ Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
     threads.reserve(static_cast<size_t>(shards));
     for (int s = 0; s < shards; ++s) {
       threads.emplace_back([&, s] {
-        ShardedRuntime rt(engine, Cluster{&tp, s, shards}, options);
+        ShardedRuntime rt(engine, Cluster{&tp, s, shards});
         results[static_cast<size_t>(s)] =
             rt.Execute(program, &replicas[static_cast<size_t>(s)], ctx);
       });

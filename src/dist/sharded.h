@@ -39,7 +39,6 @@
 #include "common/scheduler.h"
 #include "dist/cluster.h"
 #include "mr/program.h"
-#include "mr/runtime.h"
 #include "mr/stats.h"
 
 namespace gumbo::dist {
@@ -48,9 +47,8 @@ class ShardedRuntime {
  public:
   /// `engine` and `cluster.transport` are borrowed. Every shard of the
   /// cluster must construct an equivalent runtime (same engine config).
-  ShardedRuntime(mr::Engine* engine, Cluster cluster,
-                 mr::RuntimeOptions options = {})
-      : engine_(engine), cluster_(cluster), options_(options) {}
+  ShardedRuntime(mr::Engine* engine, Cluster cluster)
+      : engine_(engine), cluster_(cluster) {}
 
   const Cluster& cluster() const { return cluster_; }
 
@@ -72,20 +70,18 @@ class ShardedRuntime {
 
   mr::Engine* engine_;
   Cluster cluster_;
-  mr::RuntimeOptions options_;
 };
 
-/// Convenience harness: runs `program` across `shards` in-process worker
-/// threads — each with its own overlay replica of `db` and an
+/// Test and benchmark harness: runs `program` across `shards` in-process
+/// worker threads — each with its own overlay replica of `db` and an
 /// InProcTransport — and commits the coordinator's outputs into `db`.
 /// Semantically identical to Runtime::Execute (byte-identical outputs,
-/// merged stats); exists so callers (serve layer, tests, benches) can
-/// exercise real sharded execution without spawning processes.
+/// merged stats); exists so tests and benches can exercise real sharded
+/// execution without spawning processes.
 Result<mr::ProgramStats> ExecuteShardedLocal(mr::Engine* engine,
                                              const mr::Program& program,
                                              Database* db, int shards,
-                                             const SchedContext& ctx = {},
-                                             mr::RuntimeOptions options = {});
+                                             const SchedContext& ctx = {});
 
 }  // namespace gumbo::dist
 

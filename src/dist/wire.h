@@ -112,7 +112,9 @@ class FrameReader {
     if (static_cast<size_t>(end_ - pos_) < n) {
       return Status::ParseError("wire: frame body over-read");
     }
-    std::memcpy(v, pos_, n);
+    // An empty read may come with a null `v` (the data() of an empty
+    // vector), and memcpy requires valid pointers even for zero bytes.
+    if (n > 0) std::memcpy(v, pos_, n);
     pos_ += n;
     return Status::Ok();
   }

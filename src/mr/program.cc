@@ -18,24 +18,7 @@ size_t Program::AddJob(JobSpec spec, std::vector<size_t> deps) {
 }
 
 int Program::Rounds() const {
-  std::vector<int> depth(jobs_.size(), 0);
-  int rounds = 0;
-  // deps_ indices always point backwards, so one forward pass suffices.
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    int d = 1;
-    for (size_t p : deps_[i]) d = std::max(d, depth[p] + 1);
-    depth[i] = d;
-    rounds = std::max(rounds, d);
-  }
-  return rounds;
-}
-
-Result<std::vector<size_t>> Program::TopologicalOrder() const {
-  // Dependencies point backwards by construction (AddJob asserts), so the
-  // insertion order is already topological.
-  std::vector<size_t> order(jobs_.size());
-  for (size_t i = 0; i < jobs_.size(); ++i) order[i] = i;
-  return order;
+  return static_cast<int>(Runtime::JobRounds(*this).size());
 }
 
 std::string Program::ToString() const {
@@ -214,11 +197,6 @@ double SimulateNetTime(const std::vector<JobStats>& jobs,
     schedule();
   }
   return makespan;
-}
-
-Result<ProgramStats> RunProgram(const Program& program, Engine* engine,
-                                Database* db) {
-  return Runtime(engine).Execute(program, db);
 }
 
 }  // namespace gumbo::mr

@@ -39,11 +39,8 @@ class Program {
   const std::vector<size_t>& deps(size_t i) const { return deps_[i]; }
 
   /// Length (in jobs) of the longest dependency chain — the paper's
-  /// "number of rounds".
+  /// "number of rounds" (the size of Runtime::JobRounds).
   int Rounds() const;
-
-  /// Indices in a valid execution order (topological). Fails on cycles.
-  Result<std::vector<size_t>> TopologicalOrder() const;
 
   std::string ToString() const;
 
@@ -51,13 +48,6 @@ class Program {
   std::vector<JobSpec> jobs_;
   std::vector<std::vector<size_t>> deps_;
 };
-
-/// Executes every job of `program` against `db` using `engine`, then
-/// simulates cluster scheduling to produce net/total time. Convenience
-/// wrapper over mr::Runtime with default options: jobs of the same
-/// dependency round run concurrently on the engine's thread pool.
-Result<ProgramStats> RunProgram(const Program& program, Engine* engine,
-                                Database* db);
 
 /// The scheduling simulation alone (no data execution): computes net time
 /// for the given per-job stats and dependency structure. Exposed for unit

@@ -67,14 +67,10 @@ Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
       results[k] = engine_->RunDetached(program.job(round[k]), *db, ctx);
       in_flight.fetch_sub(1);
     };
-    if (options_.concurrent_jobs) {
-      // One ticket per job at the query's priority; each job then chains
-      // its own map/reduce morsels (nested groups — the waiter helps, so
-      // this nests without deadlock on any worker count).
-      engine_->scheduler().ParallelFor(round.size(), run_one, ctx);
-    } else {
-      for (size_t k = 0; k < round.size(); ++k) run_one(k);
-    }
+    // One ticket per job at the query's priority; each job then chains
+    // its own map/reduce morsels (nested groups — the waiter helps, so
+    // this nests without deadlock on any worker count).
+    engine_->scheduler().ParallelFor(round.size(), run_one, ctx);
 
     // A failing round commits nothing; the first failure (by job index)
     // wins deterministically.
@@ -105,7 +101,7 @@ Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
     stats.round_stats.push_back(std::move(rs));
   }
 
-  stats.rounds = program.Rounds();
+  stats.rounds = static_cast<int>(rounds.size());
   stats.wall_ms = ms_since(program_start);
   for (const JobStats& js : stats.jobs) stats.total_time += js.TotalCost();
   std::vector<std::vector<size_t>> deps;

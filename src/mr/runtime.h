@@ -31,20 +31,9 @@
 
 namespace gumbo::mr {
 
-struct RuntimeOptions {
-  /// Execute the jobs of a round concurrently. When false, jobs run
-  /// one-by-one in index order (useful for debugging and A/B timing);
-  /// results and modeled metrics are identical either way.
-  bool concurrent_jobs = true;
-};
-
 class Runtime {
  public:
-  explicit Runtime(Engine* engine, RuntimeOptions options = {})
-      : engine_(engine), options_(options) {}
-
-  const Engine& engine() const { return *engine_; }
-  const RuntimeOptions& options() const { return options_; }
+  explicit Runtime(Engine* engine) : engine_(engine) {}
 
   /// The round structure of `program`: round k holds every job whose
   /// longest dependency chain has length k. Jobs within a round are
@@ -62,7 +51,6 @@ class Runtime {
 
  private:
   Engine* engine_;
-  RuntimeOptions options_;
 };
 
 }  // namespace gumbo::mr

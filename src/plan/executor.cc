@@ -1,23 +1,25 @@
 #include "plan/executor.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "dist/sharded.h"
+#include "mr/runtime.h"
 #include "sgf/naive_eval.h"
 
 namespace gumbo::plan {
 
 namespace {
 
-// One dispatch for every context-driven entry point: a real cluster shard
-// wins over the local harness, which wins over the plain runtime. All
-// three produce byte-identical outputs (DESIGN.md §13).
-Result<mr::ProgramStats> RunProgram(const mr::Program& program,
-                                    mr::Engine* engine, Database* db,
-                                    const ExecutionContext& ctx) {
+// A real cluster shard wins over the local harness, which wins over the
+// plain runtime. All three produce byte-identical outputs (DESIGN.md §13).
+Result<mr::ProgramStats> RunRounds(const mr::Program& program,
+                                   mr::Engine* engine, Database* db,
+                                   const ExecutionContext& ctx) {
   if (ctx.cluster != nullptr && ctx.cluster->num_shards > 1) {
-    dist::ShardedRuntime runtime(engine, *ctx.cluster);
-    return runtime.Execute(program, db, ctx.sched);
+    return dist::ShardedRuntime(engine, *ctx.cluster)
+        .Execute(program, db, ctx.sched);
   }
   if (ctx.local_shards > 1) {
     return dist::ExecuteShardedLocal(engine, program, db, ctx.local_shards,
@@ -27,7 +29,7 @@ Result<mr::ProgramStats> RunProgram(const mr::Program& program,
 }
 
 // The paper's four metrics plus the shuffle/round counters, derived from
-// the program statistics — shared by every execution entry point.
+// the program statistics.
 void FillMetrics(ExecutionResult* result) {
   // Full reset first: Metrics also carries serving fields (plan_cache_hit,
   // queue_ms, sched_wait_ms) that this derivation does not touch, and
@@ -64,109 +66,37 @@ void FillMetrics(ExecutionResult* result) {
 
 }  // namespace
 
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan,
-                                    const mr::Runtime& runtime, Database* db,
-                                    const SchedContext& ctx) {
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats, runtime.Execute(plan.program, db, ctx));
-  for (const std::string& name : plan.intermediates) {
-    db->Erase(name);
-  }
-  FillMetrics(&result);
-  return result;
-}
-
-Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
-                                              const mr::Runtime& runtime,
-                                              const Database& base,
-                                              Database* outputs,
-                                              const SchedContext& ctx) {
-  // All writes (intermediates, outputs) land in the overlay; `base` is
-  // only ever read, so concurrent snapshot executions need no locking.
-  Database overlay(&base);
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         runtime.Execute(plan.program, &overlay, ctx));
-  for (const std::string& name : plan.outputs) {
-    GUMBO_ASSIGN_OR_RETURN(Relation * rel, overlay.GetMutable(name));
-    outputs->Put(std::move(*rel));
-  }
-  FillMetrics(&result);
-  return result;
-}
-
-Result<ExecutionResult> ExecutePlanWithOverrides(const QueryPlan& plan,
-                                                 const mr::Runtime& runtime,
-                                                 const Database& base,
-                                                 const Database& overrides,
-                                                 Database* outputs,
-                                                 const SchedContext& ctx) {
-  Database overlay(&base);
-  // Shadow first: a local relation wins over the base namesake for every
-  // read, so the plan sees the delta slice wherever it would have read
-  // the full relation. The slices are small by construction — copying
-  // them into the per-query overlay keeps `overrides` reusable.
-  for (const auto& [name, rel] : overrides.relations()) {
-    overlay.Put(rel);
-  }
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         runtime.Execute(plan.program, &overlay, ctx));
-  for (const std::string& name : plan.outputs) {
-    GUMBO_ASSIGN_OR_RETURN(Relation * rel, overlay.GetMutable(name));
-    outputs->Put(std::move(*rel));
-  }
-  FillMetrics(&result);
-  return result;
-}
-
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db) {
-  return ExecutePlan(plan, mr::Runtime(engine), db);
-}
-
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db,
-                                    const ExecutionContext& ctx) {
-  ExecutionResult result;
-  GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         RunProgram(plan.program, engine, db, ctx));
-  for (const std::string& name : plan.intermediates) {
-    db->Erase(name);
-  }
-  FillMetrics(&result);
-  CalibrateFromExecution(plan, result.stats, ctx.calibration);
-  return result;
-}
-
 Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
                                               mr::Engine* engine,
                                               const Database& base,
                                               Database* outputs,
                                               const ExecutionContext& ctx) {
+  // Every write of the run lands in the overlay, so a run that fails in
+  // any round leaves nothing behind, and `base` needs no locking.
   Database overlay(&base);
   ExecutionResult result;
   GUMBO_ASSIGN_OR_RETURN(result.stats,
-                         RunProgram(plan.program, engine, &overlay, ctx));
+                         RunRounds(plan.program, engine, &overlay, ctx));
+  std::vector<Relation*> produced;
+  produced.reserve(plan.outputs.size());
   for (const std::string& name : plan.outputs) {
     GUMBO_ASSIGN_OR_RETURN(Relation * rel, overlay.GetMutable(name));
-    outputs->Put(std::move(*rel));
+    produced.push_back(rel);
   }
+  for (Relation* rel : produced) outputs->Put(std::move(*rel));
   FillMetrics(&result);
-  CalibrateFromExecution(plan, result.stats, ctx.calibration);
   return result;
 }
 
 Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
                                          const Planner& planner,
-                                         const mr::Runtime& runtime,
-                                         Database* db) {
+                                         mr::Engine* engine, Database* db) {
   // Reference run first, on the pristine database.
   GUMBO_ASSIGN_OR_RETURN(Database expected, sgf::NaiveEvalSgf(query, *db));
 
   GUMBO_ASSIGN_OR_RETURN(QueryPlan plan, planner.Plan(query, *db));
   GUMBO_ASSIGN_OR_RETURN(ExecutionResult result,
-                         ExecutePlan(plan, runtime, db));
+                         ExecutePlanOnSnapshot(plan, engine, *db, db));
 
   for (const auto& q : query.subqueries()) {
     GUMBO_ASSIGN_OR_RETURN(const Relation* got, db->Get(q.output()));
@@ -180,12 +110,6 @@ Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
     }
   }
   return result;
-}
-
-Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
-                                         const Planner& planner,
-                                         mr::Engine* engine, Database* db) {
-  return ExecuteAndVerify(query, planner, mr::Runtime(engine), db);
 }
 
 void CalibrateFromExecution(const QueryPlan& plan,

@@ -1,6 +1,7 @@
-// Plan execution: runs a QueryPlan's MR program on the round runtime,
-// collects the paper's metrics, cleans up intermediates, and (optionally)
-// verifies results against the naive reference evaluator.
+// Plan execution: the one way to run a lowered QueryPlan. Its MR program
+// runs round by round in a private overlay over a read-only base; the
+// plan's outputs move into the caller's database on success, the paper's
+// metrics are collected, and intermediates never leave the overlay.
 #ifndef GUMBO_PLAN_EXECUTOR_H_
 #define GUMBO_PLAN_EXECUTOR_H_
 
@@ -8,26 +9,20 @@
 #include "common/result.h"
 #include "cost/calibration.h"
 #include "dist/cluster.h"
-#include "mr/program.h"
-#include "mr/runtime.h"
+#include "mr/engine.h"
+#include "mr/stats.h"
 #include "plan/planner.h"
 #include "sgf/sgf.h"
 
 namespace gumbo::plan {
 
-/// Everything an execution entry point needs beyond the plan and the
-/// database — one struct instead of a parameter per concern, so adding a
-/// concern (as §13 added `cluster`) does not ripple through every
-/// ExecutePlan* signature again.
+/// Everything an execution needs beyond the plan and the databases: the
+/// query's scheduling identity and which runtime carries the rounds.
 struct ExecutionContext {
   /// Scheduling identity of the query: priority class, cancel token,
   /// fault plan, metrics sink (common/scheduler.h). The scheduler field
   /// is ignored as usual — the engine's wins.
   SchedContext sched;
-  /// When set, the execution's observed sizes/yields are fed back into
-  /// the store (CalibrateFromExecution) before returning — the §10
-  /// calibration loop without a second call at every call site.
-  cost::CalibrationStore* calibration = nullptr;
   /// When set (and num_shards > 1), the program runs on this shard of a
   /// real cluster via dist::ShardedRuntime — every shard of the cluster
   /// must execute the same plan. Borrowed.
@@ -68,7 +63,7 @@ struct Metrics {
   /// Observed peak of concurrently-executing jobs (runtime behavior).
   int peak_concurrent_jobs = 0;
   // ---- Serving-layer bookkeeping (DESIGN.md §8, §12) ----
-  // Filled by serve::QueryService; zero/false for direct ExecutePlan calls.
+  // Filled by serve::QueryService; zero/false for direct executions.
   bool plan_cache_hit = false;  ///< lowered plan came from the plan cache
   double queue_ms = 0.0;        ///< admission-queue wait before execution
   double plan_ms = 0.0;         ///< planning wall time (0 on a cache hit)
@@ -103,72 +98,34 @@ struct ExecutionResult {
   mr::ProgramStats stats;
 };
 
-/// Executes `plan` against `db` (which must hold the base relations) on
-/// `runtime`. On success the produced output relations are left in `db`
-/// and all intermediate datasets are dropped.
+/// Executes `plan` over `base`, which must hold every relation the plan
+/// reads. The program runs in a private overlay over `base`: intermediates
+/// and outputs materialize there and `base` is only read, so many callers
+/// may execute plans against one `base` concurrently as long as nothing
+/// mutates it meanwhile (the admission scheduler's contract). On success
+/// the plan's declared output relations are moved into `*outputs` and the
+/// overlay, intermediates included, is dropped; on failure — a cancel, a
+/// deadline, a job error in any round — `*outputs` is left untouched.
+///
+/// `outputs` may be `&base`, which commits the outputs into the database
+/// the plan read, but only when nothing else reads `base` at the same
+/// time: the outputs are put into it after the run.
 ///
 /// A lowered QueryPlan is a reusable, immutable artifact: execution never
 /// writes into it (job factories instantiate fresh mappers/reducers per
 /// task), so one plan may be executed many times — including concurrently
-/// from multiple threads via ExecutePlanOnSnapshot — which is what makes
-/// the serve-layer plan cache sound (DESIGN.md §8).
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan,
-                                    const mr::Runtime& runtime, Database* db,
-                                    const SchedContext& ctx = {});
-
-/// Executes `plan` against the immutable snapshot `base` without writing
-/// to it: intermediates and outputs materialize in a private overlay
-/// (Database overlay views, common/relation.h), and the plan's declared
-/// output relations are moved into `*outputs` on success. Many callers may
-/// run plans against the same `base` concurrently, as long as nothing
-/// mutates `base` meanwhile — the admission scheduler's contract.
-Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
-                                              const mr::Runtime& runtime,
-                                              const Database& base,
-                                              Database* outputs,
-                                              const SchedContext& ctx = {});
-
-/// Delta-mode execution (DESIGN.md §12): like ExecutePlanOnSnapshot, but
-/// every relation in `overrides` shadows its base namesake for the whole
-/// run, so a cached plan re-executes over delta slices instead of the
-/// full relations. The caller (serve::QueryService) guarantees via
-/// serve::PlanDelta that shadowed names occur only in guard position, so
-/// the run produces exactly the delta of each dirty output. Output
-/// relations land in `*outputs` as usual.
-Result<ExecutionResult> ExecutePlanWithOverrides(const QueryPlan& plan,
-                                                 const mr::Runtime& runtime,
-                                                 const Database& base,
-                                                 const Database& overrides,
-                                                 Database* outputs,
-                                                 const SchedContext& ctx = {});
-
-/// Convenience overload: wraps `engine` in a default Runtime (jobs of the
-/// same round run concurrently on the engine's scheduler).
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db);
-
-/// The context-driven entry points (preferred): dispatch to the plain
-/// runtime, a real cluster shard, or the local sharded harness according
-/// to `ctx`, feed the calibration store when one is given, and otherwise
-/// behave exactly like their Runtime-based namesakes above (which remain
-/// as thin shims for existing callers).
-Result<ExecutionResult> ExecutePlan(const QueryPlan& plan, mr::Engine* engine,
-                                    Database* db, const ExecutionContext& ctx);
+/// from multiple threads — which is what makes the serve-layer plan cache
+/// sound (DESIGN.md §8).
 Result<ExecutionResult> ExecutePlanOnSnapshot(const QueryPlan& plan,
                                               mr::Engine* engine,
                                               const Database& base,
                                               Database* outputs,
-                                              const ExecutionContext& ctx);
+                                              const ExecutionContext& ctx = {});
 
 /// Plans + executes + verifies in one call: evaluates `query` under
-/// `planner`'s strategy on `runtime` and checks every produced relation
-/// against sgf::NaiveEvalSgf. Returns FailedPrecondition on any mismatch.
-Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
-                                         const Planner& planner,
-                                         const mr::Runtime& runtime,
-                                         Database* db);
-
-/// Convenience overload wrapping `engine` in a default Runtime.
+/// `planner`'s strategy on `engine`, commits the outputs into `db`, and
+/// checks every produced relation against sgf::NaiveEvalSgf. Returns
+/// FailedPrecondition on any mismatch.
 Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
                                          const Planner& planner,
                                          mr::Engine* engine, Database* db);

@@ -98,9 +98,7 @@ struct PlanContext {
   size_t name_counter = 0;
 
   std::string FreshName(const std::string& hint) {
-    std::string name = "__" + hint + "_" + std::to_string(name_counter++);
-    plan.intermediates.push_back(name);
-    return name;
+    return "__" + hint + "_" + std::to_string(name_counter++);
   }
   void Describe(const std::string& line) {
     plan.description += line;

@@ -78,8 +78,6 @@ struct QueryPlan {
   mr::Program program;
   /// Output dataset per subquery (dataset name == subquery output name).
   std::vector<std::string> outputs;
-  /// Intermediate datasets to drop after execution.
-  std::vector<std::string> intermediates;
   /// Human-readable plan summary (one line per job).
   std::string description;
   /// Plan-time cost estimates, parallel to program jobs (the calibration

@@ -23,10 +23,11 @@ DeltaPlan PlanDelta(const sgf::SgfQuery& query, const Database& db,
                     const std::vector<uint64_t>& cached_epochs,
                     const std::vector<uint64_t>& current_epochs) {
   DeltaPlan plan;
+  plan.view = Database(&db);
   auto fallback = [&plan](DeltaFallback f) {
     plan.eligible = false;
     plan.fallback = f;
-    plan.overrides = Database();
+    plan.view = Database();
     plan.dirty.clear();
     plan.delta_rows = 0;
     return plan;
@@ -102,7 +103,7 @@ DeltaPlan PlanDelta(const sgf::SgfQuery& query, const Database& db,
       return fallback(DeltaFallback::kDestructive);
     }
     plan.delta_rows += now - m.from_rows;
-    plan.overrides.Put((*rel)->CloneRange(m.from_rows, now));
+    plan.view.Put((*rel)->CloneRange(m.from_rows, now));
   }
   plan.eligible = true;
   return plan;

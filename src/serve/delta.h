@@ -43,22 +43,23 @@ const char* DeltaFallbackName(DeltaFallback f);
 struct DeltaPlan {
   bool eligible = false;
   DeltaFallback fallback = DeltaFallback::kNone;
-  /// For each insert-moved base relation, a materialized copy of exactly
-  /// its delta rows [watermark, size) under the same name — the shadow
-  /// overlay a cached plan re-runs over (plan::ExecutePlanWithOverrides).
-  Database overrides;
+  /// An overlay over `db` in which each insert-moved base relation is
+  /// shadowed by a materialized copy of exactly its delta rows
+  /// [watermark, size) under the same name — the base a cached plan
+  /// re-runs over (plan::ExecutePlanOnSnapshot). Borrows `db`.
+  Database view;
   /// Names carrying delta (not full) contents in the re-run: the moved
   /// base relations plus, transitively, every output produced from a
   /// delta'd guard. Outputs in this set must be unioned with the cached
   /// result; outputs outside it are recomputed in full.
   std::set<std::string> dirty;
-  uint64_t delta_rows = 0;  ///< total input delta rows across overrides
+  uint64_t delta_rows = 0;  ///< total input delta rows across the slices
 };
 
 /// Decides whether the epoch movement from `cached_epochs` to
 /// `current_epochs` (both parallel to `names`, the sorted
 /// PlanCache::EpochNamesOf order) is delta-maintainable for `query` over
-/// `db`, and builds the delta override slices if so.
+/// `db`, and builds the delta slices if so.
 DeltaPlan PlanDelta(const sgf::SgfQuery& query, const Database& db,
                     const std::vector<std::string>& names,
                     const std::vector<uint64_t>& cached_epochs,

@@ -1,7 +1,7 @@
 // Serving-layer observability (DESIGN.md §8): a lock-free log-bucketed
 // latency histogram plus the aggregate counter snapshot the QueryService
 // exposes. Per-query detail (JobStats, plan::Metrics with cache/queue
-// fields) travels in each QueryResponse; this header is the cross-query
+// fields) travels in each Response; this header is the cross-query
 // aggregate view.
 #ifndef GUMBO_SERVE_METRICS_H_
 #define GUMBO_SERVE_METRICS_H_

@@ -46,12 +46,6 @@ ServiceOptions ApplyDeltaEnv(ServiceOptions options) {
   if (cfg.disable_delta.value_or(false)) options.result_cache = false;
   options.result_cache_capacity =
       cfg.result_cache_cap.value_or(options.result_cache_capacity);
-  // Distribution knobs layer the same way (DESIGN.md §13): GUMBO_SHARDS
-  // over ServiceOptions::dist, so a deployed binary shards without a
-  // code change.
-  options.dist.shards = cfg.shards.value_or(options.dist.shards);
-  options.dist.transport = cfg.transport.value_or(options.dist.transport);
-  options.dist.dir = cfg.dist_dir.value_or(options.dist.dir);
   return options;
 }
 
@@ -64,7 +58,6 @@ QueryService::QueryService(const Database* db, ServiceOptions options,
       env_faults_(FaultInjector::FromEnv()),
       faults_(options_.faults != nullptr ? options_.faults : &env_faults_),
       engine_(options_.cluster, scheduler),
-      runtime_(&engine_, options_.runtime),
       planner_(options_.cluster, options_.planner),
       cache_(options_.plan_cache ? options_.plan_cache_capacity : 0),
       results_(options_.result_cache ? options_.result_cache_capacity : 0) {
@@ -116,13 +109,13 @@ size_t QueryService::AtomCount(const sgf::SgfQuery& query) {
   return atoms;
 }
 
-std::future<QueryResponse> QueryService::Submit(sgf::SgfQuery query,
-                                                QueryOptions qopts) {
+std::future<Response> QueryService::Submit(sgf::SgfQuery query,
+                                           QueryOptions qopts) {
   Task task;
   task.query = std::move(query);
   task.submitted = Clock::now();
   task.priority = qopts.priority;
-  std::future<QueryResponse> future = task.promise.get_future();
+  std::future<Response> future = task.promise.get_future();
 
   // Deadline composition: the per-query budget and the service default
   // both arm the same token; SetDeadline keeps the earliest, so the
@@ -169,7 +162,7 @@ std::future<QueryResponse> QueryService::Submit(sgf::SgfQuery query,
          (task.deadline != Clock::time_point::max() &&
           Clock::now() >= task.deadline))) {
       ++shed_;
-      QueryResponse resp;
+      Response resp;
       resp.status = Status::ResourceExhausted(
           "query shed: service saturated (" + std::to_string(load) +
           " queued+inflight >= watermark " + std::to_string(watermark) + ")");
@@ -182,7 +175,7 @@ std::future<QueryResponse> QueryService::Submit(sgf::SgfQuery query,
     });
     if (stopping_) {
       ++rejected_;
-      QueryResponse resp;
+      Response resp;
       resp.status = Status::FailedPrecondition("QueryService is shut down");
       task.promise.set_value(std::move(resp));
       return future;
@@ -199,7 +192,7 @@ std::future<QueryResponse> QueryService::Submit(sgf::SgfQuery query,
   return future;
 }
 
-QueryResponse QueryService::Run(sgf::SgfQuery query, QueryOptions qopts) {
+Response QueryService::Run(sgf::SgfQuery query, QueryOptions qopts) {
   return Submit(std::move(query), qopts).get();
 }
 
@@ -331,10 +324,20 @@ Result<plan::PlanRef> QueryService::PlanSingleFlight(
   return outcome;
 }
 
+plan::ExecutionContext QueryService::ContextFor(
+    const Task& task, SchedGroupMetrics* metrics) const {
+  plan::ExecutionContext ctx;
+  ctx.sched.priority = task.priority;
+  ctx.sched.metrics = metrics;
+  ctx.sched.cancel = task.token;
+  ctx.sched.faults = faults_->active() ? faults_ : nullptr;
+  return ctx;
+}
+
 bool QueryService::TryResultCache(const Task& task, const std::string& key,
                                   const std::vector<std::string>& names,
                                   const std::vector<uint64_t>& epochs,
-                                  QueryResponse* resp) {
+                                  Response* resp) {
   std::shared_ptr<const ResultCache::Entry> entry = results_.Lookup(key);
   if (entry == nullptr) return false;
   if (entry->names != names) {
@@ -369,18 +372,15 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
   }
 
   // ---- Delta maintenance pass (DESIGN.md §12) ----
-  // Re-run the cached plan with each moved relation shadowed by its
-  // delta slice: dirty subqueries produce exactly their new output rows.
+  // Re-run the cached plan over the delta view, where each moved relation
+  // is shadowed by its delta slice: dirty subqueries produce exactly
+  // their new output rows.
   SchedGroupMetrics sched_metrics;
-  SchedContext ctx;
-  ctx.priority = task.priority;
-  ctx.metrics = &sched_metrics;
-  ctx.cancel = task.token;
-  ctx.faults = faults_->active() ? faults_ : nullptr;
   const Clock::time_point delta_start = Clock::now();
   Database delta_out;
-  Result<plan::ExecutionResult> executed = plan::ExecutePlanWithOverrides(
-      *entry->plan, runtime_, *db_, dp.overrides, &delta_out, ctx);
+  Result<plan::ExecutionResult> executed = plan::ExecutePlanOnSnapshot(
+      *entry->plan, &engine_, dp.view, &delta_out,
+      ContextFor(task, &sched_metrics));
   const double delta_wall_ms = MsSince(delta_start);
   if (!executed.ok()) {
     // A failed pass (cancel, deadline, injected fault past retries) fails
@@ -453,7 +453,7 @@ void QueryService::Execute(Task task) {
   while (cur > seen && !peak_inflight_.compare_exchange_weak(seen, cur)) {
   }
 
-  QueryResponse resp;
+  Response resp;
   const double queue_ms = MsSince(task.submitted);
 
   // Cancellation gate: a query cancelled (or past its deadline) while it
@@ -536,26 +536,10 @@ void QueryService::Execute(Task task) {
   double sched_wait_ms = 0.0;
   if (resp.ok() && !result_done) {
     SchedGroupMetrics sched_metrics;
-    SchedContext ctx;
-    ctx.priority = task.priority;
-    ctx.metrics = &sched_metrics;
-    ctx.cancel = task.token;
-    ctx.faults = faults_->active() ? faults_ : nullptr;
     const Clock::time_point exec_start = Clock::now();
-    // dist.shards > 1 routes through the sharded harness (DESIGN.md
-    // §13): same snapshot/overlay contract, byte-identical outputs.
-    Result<plan::ExecutionResult> executed =
-        [&]() -> Result<plan::ExecutionResult> {
-      if (options_.dist.shards > 1) {
-        plan::ExecutionContext ectx;
-        ectx.sched = ctx;
-        ectx.local_shards = options_.dist.shards;
-        return plan::ExecutePlanOnSnapshot(*plan, &engine_, *db_,
-                                           &resp.outputs, ectx);
-      }
-      return plan::ExecutePlanOnSnapshot(*plan, runtime_, *db_, &resp.outputs,
-                                         ctx);
-    }();
+    Result<plan::ExecutionResult> executed = plan::ExecutePlanOnSnapshot(
+        *plan, &engine_, *db_, &resp.outputs,
+        ContextFor(task, &sched_metrics));
     const double exec_wall_ms = MsSince(exec_start);
     // Attribution fix: time our morsels sat runnable-but-unserved is the
     // scheduler's doing, not the query's — report it as sched_wait so an

@@ -60,9 +60,7 @@
 #include "common/relation.h"
 #include "common/scheduler.h"
 #include "cost/constants.h"
-#include "dist/cluster.h"
 #include "mr/engine.h"
-#include "mr/runtime.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "serve/metrics.h"
@@ -102,7 +100,6 @@ struct ServiceOptions {
   size_t result_cache_capacity = 32;
   plan::PlannerOptions planner;
   cost::ClusterConfig cluster;
-  mr::RuntimeOptions runtime;
   /// Optional calibration feedback loop (DESIGN.md §10): when set, every
   /// successful execution's observed stats are fed back through
   /// plan::CalibrateFromExecution, and the planner estimates through the
@@ -125,13 +122,6 @@ struct ServiceOptions {
   /// outlive the service. nullptr = the process-wide GUMBO_FAULT_* env
   /// configuration (inactive unless GUMBO_FAULT_RATE is set).
   const FaultInjector* faults = nullptr;
-  /// Sharded execution (DESIGN.md §13): dist.shards > 1 routes every
-  /// query execution through `dist.shards` in-process worker shards over
-  /// an InProcTransport (plan::ExecutionContext::local_shards) —
-  /// byte-identical outputs, real wire bytes charged to the cost model.
-  /// GUMBO_SHARDS layers over this (env wins when set). Delta passes
-  /// stay single-process: their inputs are delta-sized by construction.
-  dist::ClusterOptions dist;
 };
 
 /// Per-query submission options — the one place deadline, priority, and
@@ -174,10 +164,6 @@ struct QueryOptions {
   }
 };
 
-/// The per-query metrics a Response carries: the paper's §5.1 figures
-/// plus the serving fields (plan_cache_hit, queue_ms, plan_ms, ...).
-using QueryMetrics = plan::Metrics;
-
 /// The typed outcome of one query — status, outputs, and metrics travel
 /// together, so callers never fish through futures plus side-channel
 /// stats accessors.
@@ -187,17 +173,14 @@ struct Response {
   /// The query's output relations (subquery output names), moved out of
   /// the per-query overlay. Base relations are not included.
   Database outputs;
-  QueryMetrics metrics;
+  /// The paper's §5.1 figures plus the serving fields (plan_cache_hit,
+  /// queue_ms, plan_ms, ...).
+  plan::Metrics metrics;
   /// Per-job statistics of the execution (empty on failure).
   mr::ProgramStats stats;
   /// End-to-end submit -> response wall time.
   double wall_ms = 0.0;
 };
-
-/// Deprecated pre-§13 name for Response; kept as a shim (pinned by
-/// tests/serve_test.cc) so existing callers keep compiling. New code
-/// should spell serve::Response.
-using QueryResponse = Response;
 
 class QueryService {
  public:
@@ -248,7 +231,7 @@ class QueryService {
  private:
   struct Task {
     sgf::SgfQuery query;
-    std::promise<QueryResponse> promise;
+    std::promise<Response> promise;
     std::chrono::steady_clock::time_point submitted;
     /// Admitted through the fast lane -> morsels run at kHigh priority.
     bool fast = false;
@@ -288,7 +271,14 @@ class QueryService {
   bool TryResultCache(const Task& task, const std::string& key,
                       const std::vector<std::string>& names,
                       const std::vector<uint64_t>& epochs,
-                      QueryResponse* resp);
+                      Response* resp);
+
+  /// The context every execution of `task` runs under — its priority,
+  /// cancel token and the active fault plan — with `metrics` as the
+  /// morsel-attribution sink (DESIGN.md §9). Full runs and delta passes
+  /// pass it to the same plan::ExecutePlanOnSnapshot call.
+  plan::ExecutionContext ContextFor(const Task& task,
+                                    SchedGroupMetrics* metrics) const;
 
   const Database* db_;
   /// Non-null iff constructed over a mutable database; target of AddFact.
@@ -299,7 +289,6 @@ class QueryService {
   FaultInjector env_faults_;
   const FaultInjector* faults_;
   mr::Engine engine_;
-  mr::Runtime runtime_;
   plan::Planner planner_;
   PlanCache cache_;
   ResultCache results_;

@@ -7,7 +7,6 @@
 #include "cost/calibration.h"
 #include "data/generator.h"
 #include "mr/engine.h"
-#include "mr/runtime.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "serve/service.h"
@@ -133,12 +132,11 @@ Outcome CheckStrategy(const sgf::SgfQuery& query, const Database& db,
     return Outcome::kSkip;
   }
   mr::Engine engine(config);
-  mr::Runtime runtime(&engine);
   SchedContext ctx;
   ctx.faults = (faults != nullptr && faults->active()) ? faults : nullptr;
   Database out;
   Result<plan::ExecutionResult> executed =
-      plan::ExecutePlanOnSnapshot(*plan, runtime, db, &out, ctx);
+      plan::ExecutePlanOnSnapshot(*plan, &engine, db, &out, {ctx});
   if (!executed.ok()) {
     *detail = "execution failed: " + executed.status().ToString();
     return (ctx.faults != nullptr && IsCleanChaosError(executed.status()))
@@ -184,7 +182,7 @@ Outcome CheckServe(const sgf::SgfQuery& query, const Database& db,
   Outcome outcome = Outcome::kOk;
   const int runs = (cache || result_cache) ? 2 : 1;
   for (int r = 0; r < runs; ++r) {
-    serve::QueryResponse resp = service.Run(query);
+    serve::Response resp = service.Run(query);
     if (!resp.ok()) {
       *detail = "serve execution failed: " + resp.status.ToString();
       outcome = (chaos && IsCleanChaosError(resp.status)) ? Outcome::kCleanError
@@ -248,7 +246,7 @@ Outcome CheckMutation(const sgf::SgfQuery& query, const Database& base_db,
   so.faults = &kNoFaults;
   serve::QueryService service(&db, so);
   {
-    serve::QueryResponse cold = service.Run(query);
+    serve::Response cold = service.Run(query);
     if (!cold.ok()) {
       *detail = "cold run failed: " + cold.status.ToString();
       return Outcome::kFail;
@@ -271,7 +269,7 @@ Outcome CheckMutation(const sgf::SgfQuery& query, const Database& base_db,
         return Outcome::kFail;
       }
     }
-    serve::QueryResponse resp = service.Run(query);
+    serve::Response resp = service.Run(query);
     if (!resp.ok()) {
       *detail = "post-mutation run (after " + name +
                 " inserts) failed: " + resp.status.ToString();

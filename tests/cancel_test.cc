@@ -10,6 +10,7 @@
 // follower — no hang, including through service destruction).
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "common/scheduler.h"
 #include "data/generator.h"
 #include "mr/engine.h"
-#include "mr/runtime.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "serve/service.h"
@@ -28,6 +28,7 @@
 namespace gumbo {
 namespace {
 
+using ::gumbo::testing::MakeRelation;
 using ::gumbo::testing::ParseSgfOrDie;
 
 // Same shape as tests/serve_test.cc: 4-ary guard R, unary conditionals
@@ -224,12 +225,11 @@ Result<plan::ExecutionResult> RunOnSnapshot(
   SchedOptions sched_options = SchedOptions::FromEnv();
   if (max_retries != 0) sched_options.max_task_retries = max_retries;
   mr::Engine engine(cluster, scheduler, sched_options);
-  mr::Runtime runtime(&engine);
   SchedContext ctx;
   ctx.scheduler = scheduler;
   ctx.cancel = cancel;
   ctx.faults = faults;
-  return plan::ExecutePlanOnSnapshot(plan, runtime, db, outputs, ctx);
+  return plan::ExecutePlanOnSnapshot(plan, &engine, db, outputs, {ctx});
 }
 
 TEST(ExecutionCancelTest, PastDeadlineRunsZeroMorsels) {
@@ -249,8 +249,9 @@ TEST(ExecutionCancelTest, PastDeadlineRunsZeroMorsels) {
 }
 
 TEST(ExecutionCancelTest, CancelledRunCommitsNothingToTheDatabase) {
-  // ExecutePlan (the mutating path): a cancelled execution must leave
-  // the database exactly as it was — no outputs, no intermediates.
+  // Committing into the database the plan reads (outputs == &base): a
+  // cancelled execution must leave the database exactly as it was — no
+  // outputs, no intermediates.
   Database db = MakeTestDb(400);
   const size_t base_relations = db.size();
   const sgf::SgfQuery query = ParseSgfOrDie(kQueryA1);
@@ -265,11 +266,63 @@ TEST(ExecutionCancelTest, CancelledRunCommitsNothingToTheDatabase) {
   SchedContext ctx;
   ctx.scheduler = &scheduler;
   ctx.cancel = &cancelled;
-  auto result = plan::ExecutePlan(*plan, mr::Runtime(&engine), &db, ctx);
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &db, {ctx});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(db.size(), base_relations);
   EXPECT_FALSE(db.Contains("Z"));
+}
+
+// Copies every fact of its unary inputs into one unary output.
+class CopyMapper : public mr::Mapper {
+ public:
+  void Map(size_t, RowView fact, uint64_t, mr::Emitter* emitter) override {
+    emitter->Emit(Tuple{fact[0]}, /*tag=*/0, /*aux=*/0, /*wire_bytes=*/4.0);
+  }
+};
+
+class CopyReducer : public mr::Reducer {
+ public:
+  void Reduce(TupleView key, const mr::MessageGroup&,
+              mr::ReduceEmitter* emitter) override {
+    emitter->Emit(0, Tuple{key[0]});
+  }
+};
+
+mr::JobSpec CopyJob(const std::vector<std::string>& inputs,
+                    const std::string& output) {
+  mr::JobSpec spec;
+  spec.name = "copy-" + output;
+  for (const std::string& in : inputs) spec.inputs.push_back({in});
+  mr::JobOutput out;
+  out.dataset = output;
+  out.arity = 1;
+  spec.outputs.push_back(out);
+  spec.mapper_factory = [] { return std::make_unique<CopyMapper>(); };
+  spec.reducer_factory = [] { return std::make_unique<CopyReducer>(); };
+  return spec;
+}
+
+TEST(ExecutionCancelTest, LaterRoundFailureCommitsNothingToTheDatabase) {
+  // Round 1 succeeds and produces Mid; round 2 reads a relation that does
+  // not exist. Committing into the database the plan reads, the failed
+  // run must not leave round 1's output behind, nor bump an epoch.
+  Database db;
+  db.Put(MakeRelation("In", 1, {{1}, {2}, {3}}));
+  const uint64_t epoch = db.stats_epoch();
+  plan::QueryPlan plan;
+  const size_t first = plan.program.AddJob(CopyJob({"In"}, "Mid"));
+  plan.program.AddJob(CopyJob({"Mid", "Missing"}, "Out"), {first});
+  plan.outputs = {"Mid", "Out"};
+  ASSERT_EQ(plan.program.Rounds(), 2);
+  mr::Engine engine(cost::ClusterConfig{});
+  auto result = plan::ExecutePlanOnSnapshot(plan, &engine, db, &db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.size(), 1u);
+  EXPECT_TRUE(db.Contains("In"));
+  EXPECT_FALSE(db.Contains("Mid"));
+  EXPECT_EQ(db.stats_epoch(), epoch);
 }
 
 TEST(ExecutionCancelTest, MidFlightCancelNeverCorruptsResults) {
@@ -381,7 +434,7 @@ TEST(ServiceDeadlineTest, ExpiredTokenFailsFastAndDoesNotPoisonTheCache) {
   serve::QueryService service(&db, opts);
 
   // Prime the cache with a clean run.
-  serve::QueryResponse warm = service.Run(query);
+  serve::Response warm = service.Run(query);
   ASSERT_OK(warm.status);
   EXPECT_FALSE(warm.metrics.plan_cache_hit);
 
@@ -390,7 +443,7 @@ TEST(ServiceDeadlineTest, ExpiredTokenFailsFastAndDoesNotPoisonTheCache) {
   CancelToken expired(0.0);
   serve::QueryOptions qo;
   qo.cancel = &expired;
-  serve::QueryResponse dead = service.Run(query, qo);
+  serve::Response dead = service.Run(query, qo);
   EXPECT_EQ(dead.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(dead.outputs.size(), 0u);
 
@@ -399,13 +452,13 @@ TEST(ServiceDeadlineTest, ExpiredTokenFailsFastAndDoesNotPoisonTheCache) {
   cancelled.Cancel("never mind");
   serve::QueryOptions qc;
   qc.cancel = &cancelled;
-  serve::QueryResponse gone = service.Run(query, qc);
+  serve::Response gone = service.Run(query, qc);
   EXPECT_EQ(gone.status.code(), StatusCode::kCancelled);
 
   // The cached plan AND cached result survived both: the next clean run
   // is a pure result-cache hit (DESIGN.md §12 — it short-circuits ahead
   // of the plan path) with bytes identical to the first.
-  serve::QueryResponse again = service.Run(query);
+  serve::Response again = service.Run(query);
   ASSERT_OK(again.status);
   EXPECT_TRUE(again.metrics.result_cache_hit);
   const Relation* a = warm.outputs.Get("Z").value();
@@ -429,7 +482,7 @@ TEST(ServiceDeadlineTest, DefaultDeadlineComposesToTheStricter) {
   // A generous per-query deadline cannot loosen the service default.
   serve::QueryOptions qo;
   qo.deadline_ms = 1e9;
-  serve::QueryResponse resp = service.Run(ParseSgfOrDie(kQuerySmall), qo);
+  serve::Response resp = service.Run(ParseSgfOrDie(kQuerySmall), qo);
   EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
 }
@@ -445,13 +498,13 @@ TEST(ServiceShedTest, SaturationShedsLowPriorityNotTheBacklog) {
   // Three slow queries: the worker planning the first holds the other
   // two in the backlog for tens of ms.
   const sgf::SgfQuery blocker = SlowBlocker();
-  std::vector<std::future<serve::QueryResponse>> normals;
+  std::vector<std::future<serve::Response>> normals;
   for (int i = 0; i < 3; ++i) normals.push_back(service.Submit(blocker));
 
   // A kLow submission under saturation is shed synchronously...
   serve::QueryOptions low;
   low.priority = SchedPriority::kLow;
-  serve::QueryResponse shed = service.Run(ParseSgfOrDie(kQuerySmall), low);
+  serve::Response shed = service.Run(ParseSgfOrDie(kQuerySmall), low);
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
 
   // ...while the queued kNormal work all completes.
@@ -459,7 +512,7 @@ TEST(ServiceShedTest, SaturationShedsLowPriorityNotTheBacklog) {
   EXPECT_EQ(service.Stats().shed, 1u);
 
   // Off saturation the same kLow query is admitted and runs.
-  serve::QueryResponse idle = service.Run(ParseSgfOrDie(kQuerySmall), low);
+  serve::Response idle = service.Run(ParseSgfOrDie(kQuerySmall), low);
   EXPECT_OK(idle.status);
   EXPECT_EQ(service.Stats().shed, 1u);
 }
@@ -487,8 +540,8 @@ TEST(ServiceEdfTest, EarlierDeadlineJumpsTheQueue) {
   auto b = service.Submit(ParseSgfOrDie(kQuerySmall), tight);
 
   ASSERT_OK(blocker.get().status);
-  serve::QueryResponse ra = a.get();
-  serve::QueryResponse rb = b.get();
+  serve::Response ra = a.get();
+  serve::Response rb = b.get();
   ASSERT_OK(ra.status);
   ASSERT_OK(rb.status);
   EXPECT_LT(rb.metrics.queue_ms, ra.metrics.queue_ms);
@@ -510,7 +563,7 @@ TEST(ServiceCancelTest, CancelledQueuedQueryDropsPromptly) {
 
   // The cancelled query is answered without executing (it was still
   // queued behind the blocker when the token latched).
-  serve::QueryResponse resp = queued.get();
+  serve::Response resp = queued.get();
   EXPECT_EQ(resp.status.code(), StatusCode::kCancelled);
   EXPECT_EQ(resp.outputs.size(), 0u);
   ASSERT_OK(blocker.get().status);
@@ -533,12 +586,12 @@ TEST(ServiceSingleFlightTest, LeaderPlannerErrorReachesEveryFollower) {
   serve::QueryService service(&db, opts);
 
   constexpr int kN = 8;
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < kN; ++i) futures.push_back(service.Submit(bad));
   // Every coalesced follower observes the leader's planner error — the
   // futures all resolve (no hang) with the same error status.
   for (auto& f : futures) {
-    const serve::QueryResponse resp = f.get();
+    const serve::Response resp = f.get();
     ASSERT_FALSE(resp.ok());
     EXPECT_NE(resp.status.code(), StatusCode::kInternal);
   }
@@ -554,7 +607,7 @@ TEST(ServiceSingleFlightTest, DestructionDrainsPendingPlannerErrors) {
   Database db = MakeTestDb(100);
   const sgf::SgfQuery bad = ParseSgfOrDie(
       "Z := SELECT (x, y, z, w) FROM Rmissing(x, y, z, w) WHERE S(x);");
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   {
     serve::ServiceOptions opts;
     opts.max_inflight = 2;
@@ -578,7 +631,7 @@ TEST(ServiceChaosTest, InjectedFaultsAreRetriedInvisiblyOrFailTyped) {
   serve::ServiceOptions clean_opts;
   clean_opts.max_inflight = 2;
   serve::QueryService clean(&db, clean_opts);
-  serve::QueryResponse ref = clean.Run(query);
+  serve::Response ref = clean.Run(query);
   ASSERT_OK(ref.status);
   const Relation* ref_z = ref.outputs.Get("Z").value();
 
@@ -593,7 +646,7 @@ TEST(ServiceChaosTest, InjectedFaultsAreRetriedInvisiblyOrFailTyped) {
   serve::QueryService service(&db, opts);
   size_t ok = 0;
   for (int i = 0; i < 10; ++i) {
-    serve::QueryResponse resp = service.Run(query);
+    serve::Response resp = service.Run(query);
     if (resp.ok()) {
       ++ok;
       const Relation* got = resp.outputs.Get("Z").value();

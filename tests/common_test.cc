@@ -1,10 +1,14 @@
 // Tests for the common foundations: Status/Result, Value/Dictionary,
-// Tuple, Relation/Database, RNG, string helpers, table printer.
+// Tuple, Relation/Database, RuntimeConfig, RNG, string helpers, table
+// printer.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "common/config.h"
 #include "common/dictionary.h"
 #include "common/relation.h"
 #include "common/result.h"
@@ -180,6 +184,28 @@ TEST(DatabaseTest, CrudAndErrors) {
   EXPECT_FALSE(db.Get("S").ok());
   EXPECT_TRUE(db.Erase("R"));
   EXPECT_FALSE(db.Erase("R"));
+}
+
+// ---- RuntimeConfig ---------------------------------------------------------
+
+TEST(RuntimeConfigTest, ScopedOverrideReachesGetAndDescribe) {
+  const std::optional<size_t> before =
+      common::RuntimeConfig::Get().morsel_rows;
+  {
+    common::RuntimeConfig cfg;
+    cfg.morsel_rows = 7;
+    common::RuntimeConfig::ScopedOverride guard(cfg);
+    EXPECT_EQ(common::RuntimeConfig::Get().morsel_rows.value_or(0), 7u);
+    const std::string described = common::RuntimeConfig::Get().Describe();
+    const size_t at = described.find("GUMBO_MORSEL_ROWS");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line =
+        described.substr(at, described.find('\n', at) - at);
+    EXPECT_EQ(line.substr(line.find('=')), "= 7");
+    EXPECT_NE(described.find("GUMBO_FAULT_SEED"), std::string::npos);
+  }
+  // Leaving the scope restores the previous configuration.
+  EXPECT_EQ(common::RuntimeConfig::Get().morsel_rows, before);
 }
 
 // ---- RNG -------------------------------------------------------------------

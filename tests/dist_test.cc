@@ -13,11 +13,9 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/config.h"
 #include "common/dictionary.h"
 #include "data/workloads.h"
 #include "dist/cluster.h"
@@ -365,7 +363,8 @@ OutputBytes RunWorkload(const std::string& wl, int local_shards,
   mr::Engine engine(config);
   plan::ExecutionContext ectx;
   ectx.local_shards = local_shards;
-  auto result = plan::ExecutePlan(*plan, &engine, &w->db, ectx);
+  auto result =
+      plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &w->db, ectx);
   EXPECT_OK(result);
   if (!result.ok()) return out;
   if (dist_wire_mb != nullptr) *dist_wire_mb = result->metrics.dist_wire_mb;
@@ -421,7 +420,8 @@ TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
       Cluster cluster{&tp, s, shards};
       plan::ExecutionContext ectx;
       ectx.cluster = &cluster;
-      auto result = plan::ExecutePlan(*plan, &engine, &w->db, ectx);
+      auto result =
+          plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &w->db, ectx);
       ASSERT_OK(result);
       OutputBytes out;
       for (const auto& q : w->query.subqueries()) {
@@ -468,8 +468,7 @@ TEST(ShardedProcessTest, FourWorkerProcessesMatchSingleProcessBytes) {
   auto plan = planner.Plan(w->query, w->db);
   ASSERT_OK(plan);
   mr::Engine engine(config);
-  ASSERT_OK(plan::ExecutePlan(*plan, &engine, &w->db,
-                              plan::ExecutionContext{}));
+  ASSERT_OK(plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &w->db));
 
   char dir_template[] = "/tmp/gumbo_dist_proc_XXXXXX";
   ASSERT_NE(mkdtemp(dir_template), nullptr);
@@ -516,34 +515,9 @@ TEST(ShardedProcessTest, FourWorkerProcessesMatchSingleProcessBytes) {
   std::filesystem::remove_all(dir);
 }
 
-// ---- Configuration + serve integration --------------------------------------
-
-TEST(DistConfigTest, KnobsFlowThroughScopedOverrideIntoServiceOptions) {
-  common::RuntimeConfig cfg;
-  cfg.shards = 3;
-  cfg.transport = "mmap";
-  cfg.dist_dir = "/tmp/gumbo-mailbox";
-  common::RuntimeConfig::ScopedOverride guard(cfg);
-  EXPECT_EQ(common::RuntimeConfig::Get().shards.value_or(1), 3);
-  EXPECT_NE(common::RuntimeConfig::Get().Describe().find("GUMBO_SHARDS"),
-            std::string::npos);
-
-  // The service layers the env knobs over its programmatic defaults.
-  auto w = SmallWorkload("A1");
-  ASSERT_OK(w);
-  serve::QueryService service(
-      static_cast<const Database*>(&w->db), serve::ServiceOptions{});
-  EXPECT_EQ(service.options().dist.shards, 3);
-  EXPECT_EQ(service.options().dist.transport, "mmap");
-  EXPECT_EQ(service.options().dist.dir, "/tmp/gumbo-mailbox");
-}
+// ---- Serve API --------------------------------------------------------------
 
 TEST(ServeApiTest, QueryOptionsBuilderAndResponseShim) {
-  // The deprecation shims are part of the API contract.
-  static_assert(std::is_same_v<serve::QueryResponse, serve::Response>,
-                "QueryResponse must alias Response");
-  static_assert(std::is_same_v<serve::QueryMetrics, plan::Metrics>,
-                "QueryMetrics must alias plan::Metrics");
   CancelToken token;
   const serve::QueryOptions q = serve::QueryOptions()
                                     .WithDeadlineMs(123.0)
@@ -553,40 +527,6 @@ TEST(ServeApiTest, QueryOptionsBuilderAndResponseShim) {
   EXPECT_EQ(q.priority, SchedPriority::kHigh);
   EXPECT_EQ(q.cancel, &token);
   EXPECT_EQ(serve::QueryOptions{}.deadline_ms, 0.0);
-}
-
-TEST(ServeShardedTest, ShardedServiceAnswersByteIdentically) {
-  auto w = SmallWorkload("A3");
-  ASSERT_OK(w);
-  const Database* db = &w->db;
-
-  serve::ServiceOptions plain;
-  plain.cluster = TestCluster();
-  serve::ServiceOptions sharded = plain;
-  sharded.dist.shards = 3;
-
-  serve::Response a, b;
-  {
-    serve::QueryService service(db, plain);
-    a = service.Run(w->query);
-  }
-  {
-    serve::QueryService service(db, sharded);
-    b = service.Run(w->query);
-  }
-  ASSERT_OK(a.status);
-  ASSERT_OK(b.status);
-  EXPECT_GT(b.metrics.dist_wire_mb, 0.0);
-  EXPECT_EQ(a.metrics.dist_wire_mb, 0.0);
-  for (const auto& q : w->query.subqueries()) {
-    SCOPED_TRACE(q.output());
-    auto ra = a.outputs.Get(q.output());
-    auto rb = b.outputs.Get(q.output());
-    ASSERT_OK(ra);
-    ASSERT_OK(rb);
-    EXPECT_EQ((*ra)->words(), (*rb)->words());
-    EXPECT_EQ((*ra)->fingerprints(), (*rb)->fingerprints());
-  }
 }
 
 }  // namespace

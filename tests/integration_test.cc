@@ -284,7 +284,7 @@ TEST_P(BaselineFuzzTest, BaselinesAgreeWithNaive) {
     ASSERT_OK(plan) << baselines::BaselineName(kind);
     mr::Engine engine(config);
     Database db = fc.db;
-    auto result = plan::ExecutePlan(*plan, &engine, &db);
+    auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, db, &db);
     ASSERT_OK(result);
     EXPECT_TRUE(db.Get("Z1").value()->SetEquals(*expected->Get("Z1").value()))
         << "seed=" << GetParam() << " " << baselines::BaselineName(kind)

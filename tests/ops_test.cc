@@ -11,6 +11,7 @@
 #include "common/scheduler.h"
 #include "mr/engine.h"
 #include "mr/program.h"
+#include "mr/runtime.h"
 #include "ops/chain.h"
 #include "ops/eval.h"
 #include "ops/messages.h"
@@ -67,7 +68,7 @@ Result<Relation> RunTwoRound(const sgf::BsgfQuery& query, Database db,
                          BuildEvalJob({eval_task}, options, "eval"));
   program.AddJob(std::move(eval), {j});
   mr::Engine engine(TestCluster());
-  GUMBO_RETURN_IF_ERROR(mr::RunProgram(program, &engine, &db).status());
+  GUMBO_RETURN_IF_ERROR(mr::Runtime(&engine).Execute(program, &db).status());
   GUMBO_ASSIGN_OR_RETURN(const Relation* out, db.Get(query.output()));
   return *out;
 }
@@ -368,7 +369,7 @@ TEST(ChainTest, SemijoinThenAntijoin) {
   program.AddJob(std::move(*j2), {id1});
 
   mr::Engine engine(TestCluster());
-  ASSERT_OK(mr::RunProgram(program, &engine, &db).status());
+  ASSERT_OK(mr::Runtime(&engine).Execute(program, &db).status());
   EXPECT_TRUE(db.Get("Z").value()->SetEquals(*expected));
 }
 

@@ -578,7 +578,7 @@ TEST(GoldenCounterTest, PaperQueriesCountAsRecorded) {
       ASSERT_OK(plan) << name;
       mr::Engine engine(TestCluster());
       Database db = w->db;
-      auto result = ExecutePlan(*plan, &engine, &db);
+      auto result = ExecutePlanOnSnapshot(*plan, &engine, db, &db);
       ASSERT_OK(result) << name;
       actual += GoldenCounterEntry(name, strategy, *result);
       if (gi >= GoldenCounterSets().size()) {
@@ -736,9 +736,8 @@ TEST(CalibrationPlanTest, CalibrateFromExecutionFillsTheStore) {
   auto plan = planner.Plan(query, db);
   ASSERT_OK(plan);
   mr::Engine engine(TestCluster());
-  mr::Runtime runtime(&engine);
   Database out;
-  auto run = ExecutePlanOnSnapshot(*plan, runtime, db, &out);
+  auto run = ExecutePlanOnSnapshot(*plan, &engine, db, &out);
   ASSERT_OK(run);
   cost::CalibrationStore store;
   CalibrateFromExecution(*plan, run->stats, &store);
@@ -759,9 +758,8 @@ TEST(CalibrationPlanTest, SavedStoreReloadsToIdenticalPlans) {
     auto plan = planner.Plan(query, db);
     ASSERT_OK(plan);
     mr::Engine engine(TestCluster());
-    mr::Runtime runtime(&engine);
     Database out;
-    auto run = ExecutePlanOnSnapshot(*plan, runtime, db, &out);
+    auto run = ExecutePlanOnSnapshot(*plan, &engine, db, &out);
     ASSERT_OK(run);
     CalibrateFromExecution(*plan, run->stats, &store);
   }
@@ -823,7 +821,7 @@ TEST(BaselineTest, AllBaselinesProduceCorrectResults) {
       cost::ClusterConfig config = TestCluster();
       mr::Engine engine(config);
       Database db = w->db;
-      auto result = ExecutePlan(*plan, &engine, &db);
+      auto result = ExecutePlanOnSnapshot(*plan, &engine, db, &db);
       ASSERT_OK(result) << baselines::BaselineName(kind);
       for (const auto& q : w->query.subqueries()) {
         EXPECT_TRUE(db.Get(q.output()).value()->SetEquals(

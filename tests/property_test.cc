@@ -20,7 +20,6 @@
 #include "cost/model.h"
 #include "data/generator.h"
 #include "mr/program.h"
-#include "mr/runtime.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "plan/toposort.h"
@@ -404,11 +403,10 @@ TEST_P(OptimizationEquivalenceTest, ByteIdenticalResultsAndNoExtraShuffle) {
       opts.op.bloom_filters = optimized;
       plan::Planner planner(config, opts);
       mr::Engine engine(config);
-      mr::Runtime runtime(&engine);
       Database run_db = db;
       // ExecuteAndVerify additionally checks against the naive reference
       // evaluator, so each configuration is independently correct.
-      auto result = plan::ExecuteAndVerify(*query, planner, runtime, &run_db);
+      auto result = plan::ExecuteAndVerify(*query, planner, &engine, &run_db);
       EXPECT_TRUE(result.ok())
           << text << "\noptimized=" << optimized << ": " << result.status();
       OptRun out;

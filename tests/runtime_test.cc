@@ -145,27 +145,6 @@ TEST(RuntimeTest, IndependentJobsOfARoundRunConcurrently) {
   EXPECT_EQ(db.Get("OutB").value()->size(), 3u);
 }
 
-TEST(RuntimeTest, SequentialOptionStillCorrect) {
-  Database db;
-  db.Put(MakeRelation("In", 1, {{1}, {2}, {3}}));
-  std::atomic<int> started{0};
-  Program program;
-  // expected=1: the gate opens immediately; jobs run one-by-one.
-  program.AddJob(GateJob("In", "OutA", &started, 1));
-  program.AddJob(GateJob("In", "OutB", &started, 1));
-
-  Scheduler scheduler(4);
-  Engine engine(cost::ClusterConfig{}, &scheduler);
-  RuntimeOptions options;
-  options.concurrent_jobs = false;
-  Runtime runtime(&engine, options);
-  auto stats = runtime.Execute(program, &db);
-  ASSERT_OK(stats);
-  EXPECT_EQ(stats->round_stats[0].max_concurrent, 1);
-  EXPECT_EQ(db.Get("OutA").value()->size(), 3u);
-  EXPECT_EQ(db.Get("OutB").value()->size(), 3u);
-}
-
 TEST(RuntimeTest, FailingJobSurfacesItsStatus) {
   Database db;
   db.Put(MakeRelation("In", 1, {{1}}));
@@ -216,8 +195,7 @@ struct RunOutput {
 };
 
 RunOutput RunWithThreads(const data::Workload& w, plan::Strategy strategy,
-                         size_t threads, bool concurrent_jobs = true,
-                         ops::OpOptions op = ops::OpOptions{},
+                         size_t threads, ops::OpOptions op = ops::OpOptions{},
                          size_t morsel_rows = 0) {
   plan::PlannerOptions opts;
   opts.strategy = strategy;
@@ -229,18 +207,15 @@ RunOutput RunWithThreads(const data::Workload& w, plan::Strategy strategy,
   SchedOptions sched_options = SchedOptions::FromEnv();
   if (morsel_rows != 0) sched_options.morsel_rows = morsel_rows;
   Engine engine(config, &scheduler, sched_options);
-  RuntimeOptions roptions;
-  roptions.concurrent_jobs = concurrent_jobs;
-  Runtime runtime(&engine, roptions);
-  Database db = w.db;
-  auto plan = planner.Plan(w.query, db);
+  auto plan = planner.Plan(w.query, w.db);
   EXPECT_TRUE(plan.ok()) << plan.status();
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  Database outputs;
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, w.db, &outputs);
   EXPECT_TRUE(result.ok()) << result.status();
   RunOutput out;
   out.metrics = result->metrics;
   for (const auto& q : w.query.subqueries()) {
-    out.outputs.push_back(db.Get(q.output()).value()->ToTuples());
+    out.outputs.push_back(outputs.Get(q.output()).value()->ToTuples());
   }
   return out;
 }
@@ -278,10 +253,8 @@ TEST(RuntimeTest, ByteIdenticalAcrossPoolSizesForAllShuffleModes) {
       ops::OpOptions op;
       op.pack_messages = pack;
       op.combiners = combine;
-      RunOutput one = RunWithThreads(*w, plan::Strategy::kGreedy, 1,
-                                     /*concurrent_jobs=*/true, op);
-      RunOutput eight = RunWithThreads(*w, plan::Strategy::kGreedy, 8,
-                                       /*concurrent_jobs=*/true, op);
+      RunOutput one = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
+      RunOutput eight = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op);
       EXPECT_EQ(one.outputs, eight.outputs)
           << "pack=" << pack << " combine=" << combine;
       EXPECT_EQ(one.metrics.communication_mb, eight.metrics.communication_mb)
@@ -308,9 +281,8 @@ TEST(RuntimeTest, ByteIdenticalWithTinyMorselsAcrossWorkerCounts) {
     ASSERT_OK(w);
     RunOutput reference = RunWithThreads(*w, strategy, 1);
     for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
-      RunOutput tiny =
-          RunWithThreads(*w, strategy, workers, /*concurrent_jobs=*/true,
-                         ops::OpOptions{}, /*morsel_rows=*/1);
+      RunOutput tiny = RunWithThreads(*w, strategy, workers, ops::OpOptions{},
+                                      /*morsel_rows=*/1);
       EXPECT_EQ(reference.outputs, tiny.outputs) << "workers=" << workers;
       EXPECT_EQ(reference.metrics.communication_mb,
                 tiny.metrics.communication_mb)
@@ -334,11 +306,9 @@ TEST(RuntimeTest, ByteIdenticalWithTinyMorselsForAllShuffleModes) {
       ops::OpOptions op;
       op.pack_messages = pack;
       op.combiners = combine;
-      RunOutput coarse = RunWithThreads(*w, plan::Strategy::kGreedy, 1,
-                                        /*concurrent_jobs=*/true, op);
-      RunOutput tiny =
-          RunWithThreads(*w, plan::Strategy::kGreedy, 8,
-                         /*concurrent_jobs=*/true, op, /*morsel_rows=*/1);
+      RunOutput coarse = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
+      RunOutput tiny = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op,
+                                      /*morsel_rows=*/1);
       EXPECT_EQ(coarse.outputs, tiny.outputs)
           << "pack=" << pack << " combine=" << combine;
       EXPECT_EQ(coarse.metrics.communication_mb, tiny.metrics.communication_mb)
@@ -366,11 +336,10 @@ TEST(RuntimeTest, ShuffleBytesHaveOneSourceOfTruth) {
   cost::ClusterConfig config = TestCluster();
   plan::Planner planner(config, opts);
   Engine engine(config);
-  Runtime runtime(&engine);
-  Database db = w->db;
-  auto plan = planner.Plan(w->query, db);
+  auto plan = planner.Plan(w->query, w->db);
   ASSERT_OK(plan);
-  auto result = plan::ExecutePlan(*plan, runtime, &db);
+  Database outputs;
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &outputs);
   ASSERT_OK(result);
   const ProgramStats& stats = result->stats;
   ASSERT_FALSE(stats.round_stats.empty());
@@ -391,17 +360,26 @@ TEST(RuntimeTest, ShuffleBytesHaveOneSourceOfTruth) {
   EXPECT_GT(stats.ShuffleMessages(), 0u);
 }
 
+// A multi-round nested query: the jobs of each round run concurrently on
+// 2 and 8 workers, and every answer and modeled metric must equal the run
+// on one worker, where the jobs of a round execute one after another.
 TEST(RuntimeTest, ConcurrentMatchesSequentialRuntime) {
   auto w = data::MakeC(1, SmallData());  // nested query: several rounds
   ASSERT_OK(w);
-  RunOutput concurrent = RunWithThreads(*w, plan::Strategy::kGreedySgf, 8,
-                                        /*concurrent_jobs=*/true);
-  RunOutput sequential = RunWithThreads(*w, plan::Strategy::kGreedySgf, 8,
-                                        /*concurrent_jobs=*/false);
-  EXPECT_EQ(concurrent.outputs, sequential.outputs);
-  EXPECT_EQ(concurrent.metrics.communication_mb,
-            sequential.metrics.communication_mb);
-  EXPECT_EQ(concurrent.metrics.net_time, sequential.metrics.net_time);
+  RunOutput sequential = RunWithThreads(*w, plan::Strategy::kGreedySgf, 1);
+  EXPECT_GT(sequential.metrics.rounds, 1);
+  for (size_t workers : {size_t{2}, size_t{8}}) {
+    RunOutput concurrent =
+        RunWithThreads(*w, plan::Strategy::kGreedySgf, workers);
+    EXPECT_EQ(concurrent.outputs, sequential.outputs) << "workers=" << workers;
+    EXPECT_EQ(concurrent.metrics.communication_mb,
+              sequential.metrics.communication_mb)
+        << "workers=" << workers;
+    EXPECT_EQ(concurrent.metrics.net_time, sequential.metrics.net_time)
+        << "workers=" << workers;
+    EXPECT_EQ(concurrent.metrics.total_time, sequential.metrics.total_time)
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 namespace gumbo {
 namespace {
 
+using ::gumbo::testing::MakeRelation;
 using ::gumbo::testing::ParseSgfOrDie;
 
 // A small generated database serving every query in this file: 4-ary
@@ -194,6 +195,60 @@ TEST(OverlayTest, OverlayReadsBaseWritesLocally) {
   EXPECT_FALSE(overlay.GetMutable("S").ok());
   // Epochs of untouched base relations are visible through the overlay.
   EXPECT_EQ(overlay.StatsEpochOf("S"), base.StatsEpochOf("S"));
+
+  // Chains (the delta pass runs a plan's overlay over a delta view over
+  // the snapshot): the top level resolves Get, Contains and StatsEpochOf
+  // through both levels, and a middle relation shadows the base's.
+  Database middle(&base);
+  middle.Put(MakeRelation("M", 1, {{1}}));
+  middle.Put(MakeRelation("T", 2, {{1, 2}}));
+  Database top(&middle);
+  EXPECT_TRUE(top.Contains("M"));
+  EXPECT_TRUE(top.Contains("R"));
+  EXPECT_FALSE(top.Contains("Nope"));
+  EXPECT_EQ(top.Get("M").value(), middle.Get("M").value());
+  EXPECT_EQ(top.Get("T").value(), middle.Get("T").value());
+  EXPECT_EQ(top.Get("T").value()->arity(), 2u);
+  EXPECT_EQ(top.Get("R").value(), base.Get("R").value());
+  EXPECT_FALSE(top.Get("Nope").ok());
+  EXPECT_EQ(top.StatsEpochOf("M"), middle.StatsEpochOf("M"));
+  EXPECT_EQ(top.StatsEpochOf("T"), middle.StatsEpochOf("T"));
+  EXPECT_NE(top.StatsEpochOf("T"), base.StatsEpochOf("T"));
+  EXPECT_EQ(top.StatsEpochOf("R"), base.StatsEpochOf("R"));
+  EXPECT_EQ(top.StatsEpochOf("Nope"), 0u);
+  EXPECT_EQ(top.size(), 0u);
+  EXPECT_EQ(base.stats_epoch(), base_epoch);
+}
+
+// Every Metrics field but the two wall-clock observations (wall_ms and
+// peak_concurrent_jobs), which no two runs share.
+void ExpectSameMetrics(const plan::Metrics& a, const plan::Metrics& b) {
+  EXPECT_EQ(a.net_time, b.net_time);
+  EXPECT_EQ(a.total_time, b.total_time);
+  EXPECT_EQ(a.input_mb, b.input_mb);
+  EXPECT_EQ(a.communication_mb, b.communication_mb);
+  EXPECT_EQ(a.shuffle_mb, b.shuffle_mb);
+  EXPECT_EQ(a.dist_wire_mb, b.dist_wire_mb);
+  EXPECT_EQ(a.output_mb, b.output_mb);
+  EXPECT_EQ(a.jobs, b.jobs);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.shuffle_records, b.shuffle_records);
+  EXPECT_EQ(a.shuffle_messages, b.shuffle_messages);
+  EXPECT_EQ(a.combined_messages, b.combined_messages);
+  EXPECT_EQ(a.filtered_messages, b.filtered_messages);
+  EXPECT_EQ(a.filter_broadcast_mb, b.filter_broadcast_mb);
+  EXPECT_EQ(a.max_jobs_per_round, b.max_jobs_per_round);
+  EXPECT_EQ(a.plan_cache_hit, b.plan_cache_hit);
+  EXPECT_EQ(a.queue_ms, b.queue_ms);
+  EXPECT_EQ(a.plan_ms, b.plan_ms);
+  EXPECT_EQ(a.result_cache_hit, b.result_cache_hit);
+  EXPECT_EQ(a.delta_applied, b.delta_applied);
+  EXPECT_EQ(a.delta_rows, b.delta_rows);
+  EXPECT_EQ(a.sched_wait_ms, b.sched_wait_ms);
+  EXPECT_EQ(a.sched_morsels, b.sched_morsels);
+  EXPECT_EQ(a.task_retries, b.task_retries);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.retry_ms, b.retry_ms);
 }
 
 TEST(OverlayTest, SnapshotExecutionLeavesBaseUntouched) {
@@ -209,19 +264,24 @@ TEST(OverlayTest, SnapshotExecutionLeavesBaseUntouched) {
 
   mr::Engine engine(cluster);
   Database outputs;
-  auto result =
-      plan::ExecutePlanOnSnapshot(*plan, mr::Runtime(&engine), base, &outputs);
+  auto result = plan::ExecutePlanOnSnapshot(*plan, &engine, base, &outputs);
   ASSERT_OK(result);
   EXPECT_EQ(base.size(), base_size);
   EXPECT_EQ(base.stats_epoch(), base_epoch);
   ASSERT_OK(outputs.Get("Z"));
 
-  // Identical to the classic committing execution path, byte for byte.
+  // Committing into the database the plan reads (outputs == &base) adds
+  // exactly the output, with the same bytes and the same metrics.
   Database committed = base;
-  auto direct = plan::ExecutePlan(*plan, &engine, &committed);
+  auto direct =
+      plan::ExecutePlanOnSnapshot(*plan, &engine, committed, &committed);
   ASSERT_OK(direct);
-  EXPECT_TRUE(outputs.Get("Z").value()->words() ==
-              committed.Get("Z").value()->words());
+  EXPECT_EQ(committed.size(), base_size + 1);
+  const Relation* separate = outputs.Get("Z").value();
+  const Relation* in_place = committed.Get("Z").value();
+  EXPECT_EQ(separate->words(), in_place->words());
+  EXPECT_EQ(separate->fingerprints(), in_place->fingerprints());
+  ExpectSameMetrics(result->metrics, direct->metrics);
 }
 
 // ---- Plan cache -------------------------------------------------------------
@@ -237,21 +297,21 @@ TEST(PlanCacheTest, HitOnIdenticalAndAlphaRenamedQueries) {
   opts.result_cache = false;
   serve::QueryService service(&db, opts);
 
-  serve::QueryResponse first = service.Run(ParseSgfOrDie(kQueryA1));
+  serve::Response first = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(first.status);
   EXPECT_FALSE(first.metrics.plan_cache_hit);
   EXPECT_GT(first.metrics.plan_ms, 0.0);
 
-  serve::QueryResponse second = service.Run(ParseSgfOrDie(kQueryA1));
+  serve::Response second = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(second.status);
   EXPECT_TRUE(second.metrics.plan_cache_hit);
   EXPECT_EQ(second.metrics.plan_ms, 0.0);
 
-  serve::QueryResponse renamed = service.Run(ParseSgfOrDie(kQueryA1Renamed));
+  serve::Response renamed = service.Run(ParseSgfOrDie(kQueryA1Renamed));
   ASSERT_OK(renamed.status);
   EXPECT_TRUE(renamed.metrics.plan_cache_hit);
 
-  serve::QueryResponse other = service.Run(ParseSgfOrDie(kQueryA3));
+  serve::Response other = service.Run(ParseSgfOrDie(kQueryA3));
   ASSERT_OK(other.status);
   EXPECT_FALSE(other.metrics.plan_cache_hit);
 
@@ -284,7 +344,7 @@ TEST(PlanCacheTest, InvalidationOnStatsEpochBump) {
   for (int i = 0; i < 4; ++i) t.PushBack(Value::Int(1));
   ASSERT_OK(db.AddFact("R", t));
 
-  serve::QueryResponse after = service.Run(ParseSgfOrDie(kQueryA1));
+  serve::Response after = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(after.status);
   EXPECT_FALSE(after.metrics.plan_cache_hit);
   EXPECT_EQ(service.plan_cache().counters().invalidations, 1u);
@@ -347,11 +407,11 @@ TEST(PlanCacheTest, CachedPlanRerunsDoNotAccumulateMetrics) {
   opts.max_inflight = 1;
   opts.result_cache = false;
   serve::QueryService service(&db, opts);
-  const serve::QueryResponse cold = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response cold = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(cold.status);
   EXPECT_FALSE(cold.metrics.plan_cache_hit);
   for (int i = 0; i < 3; ++i) {
-    const serve::QueryResponse hit = service.Run(ParseSgfOrDie(kQueryA1));
+    const serve::Response hit = service.Run(ParseSgfOrDie(kQueryA1));
     ASSERT_OK(hit.status);
     EXPECT_TRUE(hit.metrics.plan_cache_hit);
     EXPECT_EQ(hit.metrics.plan_ms, 0.0);  // no planning on a hit
@@ -377,7 +437,7 @@ TEST(PlanCacheTest, CachedPlanRerunsDoNotAccumulateMetrics) {
 // Compares a response against a from-scratch naive evaluation of the
 // database's *current* state: canonical words AND fingerprints.
 void ExpectMatchesNaive(const sgf::SgfQuery& query, const Database& db,
-                        const serve::QueryResponse& resp) {
+                        const serve::Response& resp) {
   auto expected = sgf::NaiveEvalSgf(query, db);
   ASSERT_OK(expected);
   for (const auto& sub : query.subqueries()) {
@@ -405,11 +465,11 @@ TEST(ResultCacheTest, RepeatIsAPureHitByteIdentical) {
   opts.max_inflight = 1;
   serve::QueryService service(&db, opts);
 
-  const serve::QueryResponse cold = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response cold = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(cold.status);
   EXPECT_FALSE(cold.metrics.result_cache_hit);
 
-  const serve::QueryResponse hit = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response hit = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(hit.status);
   EXPECT_TRUE(hit.metrics.result_cache_hit);
   EXPECT_FALSE(hit.metrics.plan_cache_hit);  // never reached the plan path
@@ -437,7 +497,7 @@ TEST(ResultCacheTest, GuardInsertIsDeltaMaintained) {
   // must delta-maintain the cached result instead of re-executing, and
   // stay byte-identical to a from-scratch evaluation.
   ASSERT_OK(service.AddFact("R", GuardFact(3)));
-  const serve::QueryResponse delta = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response delta = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(delta.status);
   EXPECT_TRUE(delta.metrics.delta_applied);
   EXPECT_FALSE(delta.metrics.result_cache_hit);
@@ -446,7 +506,7 @@ TEST(ResultCacheTest, GuardInsertIsDeltaMaintained) {
 
   // The maintenance pass refreshed the cache at the new epochs: an
   // unchanged repeat is a pure hit again.
-  const serve::QueryResponse hit = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response hit = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(hit.status);
   EXPECT_TRUE(hit.metrics.result_cache_hit);
   EXPECT_EQ(hit.outputs.Get("Z").value()->words(),
@@ -472,7 +532,7 @@ TEST(ResultCacheTest, ConditionalInsertFallsBackToFullRun) {
   Tuple t;
   t.PushBack(Value::Int(12345));
   ASSERT_OK(service.AddFact("S", t));
-  const serve::QueryResponse full = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response full = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(full.status);
   EXPECT_FALSE(full.metrics.delta_applied);
   EXPECT_FALSE(full.metrics.result_cache_hit);
@@ -496,7 +556,7 @@ TEST(ResultCacheTest, DestructiveWriteFallsBackToFullRun) {
   cfg.representation_scale = 1.0;
   db.Put(data::Generator(cfg).Guard("R", 4));
 
-  const serve::QueryResponse full = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response full = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(full.status);
   EXPECT_FALSE(full.metrics.delta_applied);
   EXPECT_FALSE(full.metrics.result_cache_hit);
@@ -521,7 +581,7 @@ TEST(ResultCacheTest, MultiSubqueryDeltaRecomputesCleanOutputsExactly) {
 
   ASSERT_OK(service.Run(ParseSgfOrDie(kTwoGuards)).status);
   ASSERT_OK(service.AddFact("R", GuardFact(7)));
-  const serve::QueryResponse delta = service.Run(ParseSgfOrDie(kTwoGuards));
+  const serve::Response delta = service.Run(ParseSgfOrDie(kTwoGuards));
   ASSERT_OK(delta.status);
   EXPECT_TRUE(delta.metrics.delta_applied);
   ExpectMatchesNaive(ParseSgfOrDie(kTwoGuards), db, delta);
@@ -537,7 +597,7 @@ TEST(ResultCacheTest, DisableDeltaEnvKnobTurnsTheLayerOff) {
   serve::QueryService service(&db, opts);
 
   ASSERT_OK(service.Run(ParseSgfOrDie(kQueryA1)).status);
-  const serve::QueryResponse second = service.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response second = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(second.status);
   EXPECT_FALSE(second.metrics.result_cache_hit);
   EXPECT_TRUE(second.metrics.plan_cache_hit);  // plan cache still works
@@ -572,7 +632,7 @@ TEST(ResultCacheTest, ConcurrentAddFactAndRunAreRaceFree) {
   for (int c = 0; c < 2; ++c) {
     threads.emplace_back([&, c] {
       for (int i = 0; i < 6; ++i) {
-        serve::QueryResponse resp = service.Run(query);
+        serve::Response resp = service.Run(query);
         if (!resp.ok()) {
           status[c] = resp.status;
           return;
@@ -592,7 +652,7 @@ TEST(ResultCacheTest, ConcurrentAddFactAndRunAreRaceFree) {
   for (auto& t : threads) t.join();
   for (const Status& s : status) EXPECT_OK(s);
 
-  const serve::QueryResponse final_resp = service.Run(query);
+  const serve::Response final_resp = service.Run(query);
   ASSERT_OK(final_resp.status);
   ExpectMatchesNaive(query, db, final_resp);
 }
@@ -602,7 +662,7 @@ TEST(ResultCacheTest, ConcurrentAddFactAndRunAreRaceFree) {
 TEST(ServiceTest, CalibrationFeedbackObservesWithoutChangingResults) {
   Database db = MakeTestDb();
   serve::QueryService plain(&db, serve::ServiceOptions{});
-  const serve::QueryResponse a = plain.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response a = plain.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(a.status);
 
   cost::CalibrationStore store;
@@ -610,23 +670,23 @@ TEST(ServiceTest, CalibrationFeedbackObservesWithoutChangingResults) {
   opts.calibration = &store;
   opts.result_cache = false;  // repeats must re-execute to feed the store
   serve::QueryService calibrated(&db, opts);
-  const serve::QueryResponse b1 = calibrated.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response b1 = calibrated.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(b1.status);
   EXPECT_GT(store.TotalObservations(), 0u);
   // A second run plans through the now-nonempty store (same cache key, so
   // it reuses the plan; the cache-off path replans below).
-  const serve::QueryResponse b2 = calibrated.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response b2 = calibrated.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(b2.status);
 
   serve::ServiceOptions nocache = opts;
   nocache.plan_cache = false;
   serve::QueryService replanning(&db, nocache);
   ASSERT_OK(replanning.Run(ParseSgfOrDie(kQueryA1)).status);  // feeds store
-  const serve::QueryResponse b3 = replanning.Run(ParseSgfOrDie(kQueryA1));
+  const serve::Response b3 = replanning.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(b3.status);
 
   const Relation* want = a.outputs.Get("Z").value();
-  for (const serve::QueryResponse* r : {&b1, &b2, &b3}) {
+  for (const serve::Response* r : {&b1, &b2, &b3}) {
     const Relation* got = r->outputs.Get("Z").value();
     EXPECT_EQ(got->words(), want->words());
     EXPECT_EQ(got->fingerprints(), want->fingerprints());
@@ -640,7 +700,7 @@ TEST(ServiceTest, FailedQueryReportsErrorAndCountsIt) {
   serve::ServiceOptions opts;
   opts.max_inflight = 2;
   serve::QueryService service(&db, opts);
-  serve::QueryResponse resp = service.Run(
+  serve::Response resp = service.Run(
       ParseSgfOrDie("Z := SELECT x FROM Nope(x, y) WHERE S(x);"));
   EXPECT_FALSE(resp.ok());
   serve::ServiceStats stats = service.Stats();
@@ -652,7 +712,7 @@ TEST(ServiceTest, SubmitAfterShutdownIsRejected) {
   Database db = MakeTestDb(50);
   serve::QueryService service(&db, serve::ServiceOptions{});
   service.Shutdown();
-  serve::QueryResponse resp = service.Run(ParseSgfOrDie(kQuerySmall));
+  serve::Response resp = service.Run(ParseSgfOrDie(kQuerySmall));
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(service.Stats().rejected, 1u);
 }
@@ -678,21 +738,16 @@ TEST(ServiceTest, ConcurrentSubmissionByteIdenticalToSequential) {
     queries.push_back(ParseSgfOrDie(text));
   }
 
-  // Sequential solo references: the classic plan + execute path, one
-  // query at a time against a pristine copy.
+  // Sequential solo references: plan + execute, one query at a time.
   cost::ClusterConfig cluster;
   plan::Planner planner(cluster, plan::PlannerOptions{});
   mr::Engine ref_engine(cluster);
   std::vector<Database> refs;
   for (const sgf::SgfQuery& q : queries) {
-    Database copy = db;
-    auto plan = planner.Plan(q, copy);
+    auto plan = planner.Plan(q, db);
     ASSERT_OK(plan);
-    ASSERT_OK(plan::ExecutePlan(*plan, &ref_engine, &copy));
     Database outputs;
-    for (const auto& sub : q.subqueries()) {
-      outputs.Put(*copy.Get(sub.output()).value());
-    }
+    ASSERT_OK(plan::ExecutePlanOnSnapshot(*plan, &ref_engine, db, &outputs));
     refs.push_back(std::move(outputs));
   }
 
@@ -714,7 +769,7 @@ TEST(ServiceTest, ConcurrentSubmissionByteIdenticalToSequential) {
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           // Stagger the mix per client so distinct queries overlap.
           const size_t pick = (qi + static_cast<size_t>(c)) % queries.size();
-          serve::QueryResponse resp = service.Run(queries[pick]);
+          serve::Response resp = service.Run(queries[pick]);
           if (!resp.ok()) {
             client_status[c] = resp.status;
             return;
@@ -782,16 +837,16 @@ TEST(ServiceTest, FastLaneCannotStarveTheFifo) {
   const sgf::SgfQuery small = ParseSgfOrDie(kQuerySmall);  // 2 atoms -> lane
 
   auto blocker_future = service.Submit(blocker);
-  std::vector<std::future<serve::QueryResponse>> lane;
+  std::vector<std::future<serve::Response>> lane;
   for (int i = 0; i < 8; ++i) lane.push_back(service.Submit(small));
   auto fifo_future = service.Submit(blocker);  // queued FIFO task
 
   ASSERT_OK(blocker_future.get().status);
-  const serve::QueryResponse fifo_resp = fifo_future.get();
+  const serve::Response fifo_resp = fifo_future.get();
   ASSERT_OK(fifo_resp.status);
   size_t finished_after_fifo = 0;
   for (auto& f : lane) {
-    serve::QueryResponse resp = f.get();
+    serve::Response resp = f.get();
     ASSERT_OK(resp.status);
     if (resp.wall_ms > fifo_resp.wall_ms) ++finished_after_fifo;
   }
@@ -811,7 +866,7 @@ TEST(ServiceTest, ColdCacheStampedeAccounting) {
   serve::QueryService service(&db, opts, &scheduler);
 
   constexpr uint64_t kN = 12;
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   for (uint64_t i = 0; i < kN; ++i) futures.push_back(service.Submit(query));
   for (auto& f : futures) ASSERT_OK(f.get().status);
 
@@ -828,7 +883,7 @@ TEST(ServiceTest, ColdCacheStampedeAccounting) {
 
 TEST(ServiceTest, DrainsBacklogOnDestruction) {
   Database db = MakeTestDb(50);
-  std::vector<std::future<serve::QueryResponse>> futures;
+  std::vector<std::future<serve::Response>> futures;
   {
     serve::ServiceOptions opts;
     opts.max_inflight = 1;
