@@ -91,7 +91,7 @@ void PrintMetricBlock(const std::string& title,
   const MetricDef metrics[] = {
       {"Net time (s)", &plan::Metrics::net_time, false},
       {"Total time (s)", &plan::Metrics::total_time, false},
-      {"Input (GB)", &plan::Metrics::input_mb, true},
+      {"Input (GB)", &plan::Metrics::hdfs_read_mb, true},
       {"Communication (GB)", &plan::Metrics::communication_mb, true},
   };
   std::printf("==== %s ====\n", title.c_str());

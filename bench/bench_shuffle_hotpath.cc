@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "bench_harness.h"
-#include "common/config.h"
 #include "common/str_util.h"
 #include "data/workloads.h"
 #include "mr/map_output.h"
@@ -257,23 +256,8 @@ class Shuffle {
 
 }  // namespace legacy
 
-// Phase timings of one pass (seconds), for GUMBO_BENCH_PHASES=1 output.
-struct Phases {
-  double ingest = 0.0;
-  double partition = 0.0;
-  double reduce = 0.0;
-};
-
-double Now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // One full legacy pass: materialize KeyValues, ingest, partition, reduce.
-size_t RunLegacy(const std::vector<TaskStream>& streams, Checksum* sum,
-                 Phases* phases = nullptr) {
-  double t0 = Now();
+size_t RunLegacy(const std::vector<TaskStream>& streams, Checksum* sum) {
   legacy::Shuffle shuffle(streams.size());
   size_t records = 0;
   for (size_t t = 0; t < streams.size(); ++t) {
@@ -290,9 +274,7 @@ size_t RunLegacy(const std::vector<TaskStream>& streams, Checksum* sum,
     }
     records += shuffle.AddTaskOutput(t, std::move(kvs));
   }
-  double t1 = Now();
   shuffle.Partition(kReducePartitions);
-  double t2 = Now();
   for (size_t p = 0; p < shuffle.num_partitions(); ++p) {
     shuffle.ForEachGroup(
         p, [&](const Tuple& key, const std::vector<legacy::Message>& values) {
@@ -302,20 +284,12 @@ size_t RunLegacy(const std::vector<TaskStream>& streams, Checksum* sum,
           }
         });
   }
-  if (phases != nullptr) {
-    double t3 = Now();
-    phases->ingest += t1 - t0;
-    phases->partition += t2 - t1;
-    phases->reduce += t3 - t2;
-  }
   return records;
 }
 
 // One full flat pass: emit into MapOutputBuffers, ingest, partition,
 // reduce through the MessageGroup view.
-size_t RunFlat(const std::vector<TaskStream>& streams, Checksum* sum,
-               Phases* phases = nullptr) {
-  double t0 = Now();
+size_t RunFlat(const std::vector<TaskStream>& streams, Checksum* sum) {
   mr::Shuffle shuffle(streams.size(), /*pack_messages=*/true);
   size_t records = 0;
   for (size_t t = 0; t < streams.size(); ++t) {
@@ -331,9 +305,7 @@ size_t RunFlat(const std::vector<TaskStream>& streams, Checksum* sum,
     }
     records += shuffle.AddTaskOutput(t, std::move(buffer))->records;
   }
-  double t1 = Now();
   if (!shuffle.Partition(kReducePartitions).ok()) std::abort();
-  double t2 = Now();
   for (int p = 0; p < shuffle.num_partitions(); ++p) {
     shuffle.ForEachGroup(
         static_cast<size_t>(p),
@@ -344,12 +316,6 @@ size_t RunFlat(const std::vector<TaskStream>& streams, Checksum* sum,
                        TupleFingerprint(m.payload_words(), m.payload_size()));
           }
         });
-  }
-  if (phases != nullptr) {
-    double t3 = Now();
-    phases->ingest += t1 - t0;
-    phases->partition += t2 - t1;
-    phases->reduce += t3 - t2;
   }
   return records;
 }
@@ -472,20 +438,6 @@ int main(int argc, char** argv) {
       flat_sum = Checksum{};
       flat_records = RunFlat(*streams, &flat_sum);
     });
-
-    if (common::RuntimeConfig::Get().bench_phases.value_or(false)) {
-      Phases lp, fp;
-      Checksum dummy;
-      RunLegacy(*streams, &dummy, &lp);
-      dummy = Checksum{};
-      RunFlat(*streams, &dummy, &fp);
-      std::printf(
-          "  phases %s: legacy ingest %.1fms partition %.1fms reduce %.1fms"
-          " | flat ingest %.1fms partition %.1fms reduce %.1fms\n",
-          w.name.c_str(), 1e3 * lp.ingest, 1e3 * lp.partition,
-          1e3 * lp.reduce, 1e3 * fp.ingest, 1e3 * fp.partition,
-          1e3 * fp.reduce);
-    }
 
     if (!(legacy_sum == flat_sum) || legacy_records != flat_records) {
       std::fprintf(stderr,

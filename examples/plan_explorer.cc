@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         "shuffle %.2f MB\n",
         result->metrics.rounds, result->metrics.jobs,
         result->metrics.net_time, result->metrics.total_time,
-        result->metrics.input_mb, result->metrics.communication_mb);
+        result->metrics.hdfs_read_mb, result->metrics.communication_mb);
     std::printf(
         "scheduler: max %d jobs/round | peak %d concurrent | wall %.1f ms\n",
         result->metrics.max_jobs_per_round,

@@ -80,7 +80,7 @@ int main() {
       "\nMetrics: net time %.2fs, total time %.2fs, %d jobs, "
       "%.3f MB read, %.3f MB shuffled\n",
       result->metrics.net_time, result->metrics.total_time,
-      result->metrics.jobs, result->metrics.input_mb,
+      result->metrics.jobs, result->metrics.hdfs_read_mb,
       result->metrics.communication_mb);
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "common/config.h"
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <string_view>
 
@@ -8,13 +9,19 @@ namespace gumbo::common {
 
 namespace {
 
-// Parse helpers. Each mirrors the historical per-site semantics exactly:
-// a value the old call site would have ignored leaves the knob unset.
+// Parse helpers: a value that does not parse leaves the knob unset.
+
+// strtoull accepts a leading '-' after whitespace and negates modulo
+// 2^64, so "-1" would become a worker count or tuple count of ~1.8e19.
+bool Negative(const char* v) {
+  while (std::isspace(static_cast<unsigned char>(*v))) ++v;
+  return *v == '-';
+}
 
 // Unsigned integer, any trailing garbage tolerated (strtoull semantics
 // the scheduler/bench knobs always had).
 std::optional<uint64_t> U64Prefix(const char* v) {
-  if (v == nullptr) return std::nullopt;
+  if (v == nullptr || Negative(v)) return std::nullopt;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(v, &end, 10);
   if (end == v) return std::nullopt;
@@ -23,7 +30,7 @@ std::optional<uint64_t> U64Prefix(const char* v) {
 
 // Unsigned integer, full-string strict (the soak harness's EnvU64).
 std::optional<uint64_t> U64Strict(const char* v) {
-  if (v == nullptr || *v == '\0') return std::nullopt;
+  if (v == nullptr || *v == '\0' || Negative(v)) return std::nullopt;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(v, &end, 10);
   if (end == nullptr || *end != '\0') return std::nullopt;
@@ -82,14 +89,9 @@ void DescribeKnob(std::string* out, const char* name,
 
 RuntimeConfig RuntimeConfig::FromEnv() {
   RuntimeConfig c;
-  // Scheduler: GUMBO_MORSEL_ROWS and GUMBO_SCHED_WORKERS require > 0;
-  // GUMBO_MAX_TASK_RETRIES accepts 0 (retries off).
+  // Scheduler: GUMBO_MORSEL_ROWS and GUMBO_SCHED_WORKERS require > 0.
   if (auto v = U64Prefix(std::getenv("GUMBO_MORSEL_ROWS")); v && *v > 0) {
     c.morsel_rows = static_cast<size_t>(*v);
-  }
-  c.disable_stealing = Flag(std::getenv("GUMBO_DISABLE_STEALING"));
-  if (auto v = U64Prefix(std::getenv("GUMBO_MAX_TASK_RETRIES"))) {
-    c.max_task_retries = static_cast<uint32_t>(*v);
   }
   if (auto v = U64Prefix(std::getenv("GUMBO_SCHED_WORKERS")); v && *v > 0) {
     c.sched_workers = static_cast<size_t>(*v);
@@ -103,26 +105,16 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   c.fault_sites = NonEmptyStr(std::getenv("GUMBO_FAULT_SITES"));
 
   c.disable_delta = Flag(std::getenv("GUMBO_DISABLE_DELTA"));
-  // Historical atoll semantics: the variable being set is the signal,
-  // however mangled its value.
-  if (const char* v = std::getenv("GUMBO_RESULT_CACHE_CAP")) {
-    c.result_cache_cap = static_cast<size_t>(std::atoll(v));
-  }
 
   c.soak_seed = U64Strict(std::getenv("GUMBO_SOAK_SEED"));
   c.soak_iters = U64Strict(std::getenv("GUMBO_SOAK_ITERS"));
   c.soak_tuples = U64Strict(std::getenv("GUMBO_SOAK_TUPLES"));
   c.soak_mutate = U64Strict(std::getenv("GUMBO_SOAK_MUTATE"));
 
-  if (const char* v = std::getenv("GUMBO_BENCH_TUPLES")) {
-    const size_t t = static_cast<size_t>(std::strtoull(v, nullptr, 10));
-    c.bench_tuples = t < 100 ? 100 : t;
+  if (auto v = U64Prefix(std::getenv("GUMBO_BENCH_TUPLES"))) {
+    c.bench_tuples = *v < 100 ? 100 : static_cast<size_t>(*v);
   }
-  if (const char* v = std::getenv("GUMBO_BENCH_SEED")) {
-    c.bench_seed = std::strtoull(v, nullptr, 10);
-  }
-  // Presence alone enables phase output (even "0" did historically).
-  if (std::getenv("GUMBO_BENCH_PHASES") != nullptr) c.bench_phases = true;
+  c.bench_seed = U64Prefix(std::getenv("GUMBO_BENCH_SEED"));
   return c;
 }
 
@@ -137,8 +129,6 @@ const RuntimeConfig& RuntimeConfig::Get() {
 std::string RuntimeConfig::Describe() const {
   std::string s = "runtime config (GUMBO_* environment overrides):\n";
   DescribeKnob(&s, "GUMBO_MORSEL_ROWS", morsel_rows);
-  DescribeKnob(&s, "GUMBO_DISABLE_STEALING", disable_stealing);
-  DescribeKnob(&s, "GUMBO_MAX_TASK_RETRIES", max_task_retries);
   DescribeKnob(&s, "GUMBO_SCHED_WORKERS", sched_workers);
   DescribeKnob(&s, "GUMBO_DISABLE_COMBINERS", disable_combiners);
   DescribeKnob(&s, "GUMBO_DISABLE_FILTERS", disable_filters);
@@ -146,14 +136,12 @@ std::string RuntimeConfig::Describe() const {
   DescribeKnob(&s, "GUMBO_FAULT_RATE", fault_rate);
   DescribeKnob(&s, "GUMBO_FAULT_SITES", fault_sites);
   DescribeKnob(&s, "GUMBO_DISABLE_DELTA", disable_delta);
-  DescribeKnob(&s, "GUMBO_RESULT_CACHE_CAP", result_cache_cap);
   DescribeKnob(&s, "GUMBO_SOAK_SEED", soak_seed);
   DescribeKnob(&s, "GUMBO_SOAK_ITERS", soak_iters);
   DescribeKnob(&s, "GUMBO_SOAK_TUPLES", soak_tuples);
   DescribeKnob(&s, "GUMBO_SOAK_MUTATE", soak_mutate);
   DescribeKnob(&s, "GUMBO_BENCH_TUPLES", bench_tuples);
   DescribeKnob(&s, "GUMBO_BENCH_SEED", bench_seed);
-  DescribeKnob(&s, "GUMBO_BENCH_PHASES", bench_phases);
   return s;
 }
 

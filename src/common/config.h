@@ -23,10 +23,8 @@ namespace gumbo::common {
 
 struct RuntimeConfig {
   // ---- Morsel scheduler (DESIGN.md §9) ----
-  std::optional<size_t> morsel_rows;         ///< GUMBO_MORSEL_ROWS (> 0)
-  std::optional<bool> disable_stealing;      ///< GUMBO_DISABLE_STEALING
-  std::optional<uint32_t> max_task_retries;  ///< GUMBO_MAX_TASK_RETRIES
-  std::optional<size_t> sched_workers;       ///< GUMBO_SCHED_WORKERS (> 0)
+  std::optional<size_t> morsel_rows;    ///< GUMBO_MORSEL_ROWS (> 0)
+  std::optional<size_t> sched_workers;  ///< GUMBO_SCHED_WORKERS (> 0)
 
   // ---- Operator ablations (DESIGN.md §5.4) ----
   std::optional<bool> disable_combiners;  ///< GUMBO_DISABLE_COMBINERS
@@ -38,8 +36,7 @@ struct RuntimeConfig {
   std::optional<std::string> fault_sites;  ///< GUMBO_FAULT_SITES (site list)
 
   // ---- Serve layer (DESIGN.md §12) ----
-  std::optional<bool> disable_delta;        ///< GUMBO_DISABLE_DELTA
-  std::optional<size_t> result_cache_cap;   ///< GUMBO_RESULT_CACHE_CAP
+  std::optional<bool> disable_delta;  ///< GUMBO_DISABLE_DELTA
 
   // ---- Soak harness ----
   std::optional<uint64_t> soak_seed;    ///< GUMBO_SOAK_SEED
@@ -48,12 +45,12 @@ struct RuntimeConfig {
   std::optional<uint64_t> soak_mutate;  ///< GUMBO_SOAK_MUTATE (0/1)
 
   // ---- Benchmarks ----
-  std::optional<size_t> bench_tuples;     ///< GUMBO_BENCH_TUPLES (>= 100)
-  std::optional<uint64_t> bench_seed;     ///< GUMBO_BENCH_SEED
-  std::optional<bool> bench_phases;       ///< GUMBO_BENCH_PHASES (presence)
+  std::optional<size_t> bench_tuples;  ///< GUMBO_BENCH_TUPLES (>= 100)
+  std::optional<uint64_t> bench_seed;  ///< GUMBO_BENCH_SEED
 
-  /// Fresh parse of the process environment. Unparseable values leave
-  /// their knob disengaged, matching the historical per-site fallbacks.
+  /// Fresh parse of the process environment. Unparseable values —
+  /// including negative numbers, which strtoull would wrap to huge
+  /// ones — leave their knob disengaged.
   static RuntimeConfig FromEnv();
 
   /// The effective process configuration: the innermost ScopedOverride

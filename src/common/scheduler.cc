@@ -33,8 +33,6 @@ SchedOptions SchedOptions::FromEnv() {
   const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
   SchedOptions o;
   o.morsel_rows = cfg.morsel_rows.value_or(o.morsel_rows);
-  if (cfg.disable_stealing.value_or(false)) o.stealing = false;
-  o.max_task_retries = cfg.max_task_retries.value_or(o.max_task_retries);
   return o;
 }
 
@@ -61,7 +59,7 @@ struct Scheduler::TaskGroup::State {
   uint64_t morsels = 0;
 };
 
-Scheduler::Scheduler(size_t num_workers, bool stealing) : stealing_(stealing) {
+Scheduler::Scheduler(size_t num_workers) {
   if (num_workers == 0) {
     num_workers = std::thread::hardware_concurrency();
     if (num_workers == 0) num_workers = 4;
@@ -220,16 +218,14 @@ bool Scheduler::NextTicket(size_t worker,
       note_dispatch(p);
       return true;
     }
-    if (stealing_) {
-      for (size_t v = 1; v < queues_.size(); ++v) {
-        WorkerState& victim = queues_[(worker + v) % queues_.size()];
-        if (!victim.deques[p].empty()) {
-          *out = std::move(victim.deques[p].front());
-          victim.deques[p].pop_front();  // FIFO: steal the coldest ticket
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          note_dispatch(p);
-          return true;
-        }
+    for (size_t v = 1; v < queues_.size(); ++v) {
+      WorkerState& victim = queues_[(worker + v) % queues_.size()];
+      if (!victim.deques[p].empty()) {
+        *out = std::move(victim.deques[p].front());
+        victim.deques[p].pop_front();  // FIFO: steal the coldest ticket
+        steals_.fetch_add(1, std::memory_order_relaxed);
+        note_dispatch(p);
+        return true;
       }
     }
   }

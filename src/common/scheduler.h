@@ -121,16 +121,13 @@ struct SchedContext {
   const FaultInjector* faults = nullptr;
 };
 
-/// Process-wide scheduler tuning, read once from the environment:
-///   GUMBO_MORSEL_ROWS       rows per morsel (default 4096)
-///   GUMBO_DISABLE_STEALING  workers only use their own deque + the
-///                           injection queue (A/B override)
-///   GUMBO_SCHED_WORKERS     worker count of Scheduler::Global()
-///   GUMBO_MAX_TASK_RETRIES  re-runs of a failed map/shuffle/reduce
-///                           task before its fault escalates (default 3)
+/// Process-wide scheduler tuning:
+///   morsel_rows       rows per morsel (GUMBO_MORSEL_ROWS, default 4096)
+///   max_task_retries  re-runs of a failed map/shuffle/reduce task before
+///                     its fault escalates (default 3)
+/// GUMBO_SCHED_WORKERS sizes Scheduler::Global().
 struct SchedOptions {
   size_t morsel_rows = 4096;
-  bool stealing = true;
   uint32_t max_task_retries = 3;
   static SchedOptions FromEnv();
 };
@@ -138,11 +135,8 @@ struct SchedOptions {
 class Scheduler {
  public:
   /// Creates a scheduler with `num_workers` workers (0 = hardware
-  /// concurrency). `stealing` = false disables victim scans (the
-  /// GUMBO_DISABLE_STEALING A/B behavior); tickets then flow through
-  /// the submitter's own deque and the injection queue only.
-  explicit Scheduler(size_t num_workers = 0,
-                     bool stealing = SchedOptions::FromEnv().stealing);
+  /// concurrency).
+  explicit Scheduler(size_t num_workers = 0);
   /// Drains every queued ticket (all submitted closures run), then
   /// joins the workers. Groups with closures still queued are executed,
   /// not dropped — a TaskGroup outliving its scheduler sees all its
@@ -153,7 +147,6 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   size_t num_workers() const { return workers_.size(); }
-  bool stealing() const { return stealing_; }
 
   /// Process-wide scheduler (sized by GUMBO_SCHED_WORKERS, else
   /// hardware concurrency).
@@ -222,7 +215,6 @@ class Scheduler {
     uint64_t dispatches = 0;
   };
 
-  const bool stealing_;
   mutable std::mutex mu_;
   std::condition_variable cv_work_;
   std::vector<WorkerState> queues_;  ///< one per worker

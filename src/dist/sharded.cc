@@ -250,9 +250,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     GUMBO_RETURN_IF_ERROR(
         tp->Send(me, 0, w.Finish(FrameType::kOutputFragment, me32, job_aux)));
     FrameWriter sw;
-    sw.F64(st.shuffle_mb);
-    sw.F64(st.hdfs_read_mb);
-    sw.F64(st.hdfs_write_mb);
+    EncodeJobCounters(st, &sw);
     sw.F64(exec->ReceivedMb());
     sw.U32(static_cast<uint32_t>(st.map_task_costs.size()));
     for (double c : st.map_task_costs) sw.F64(c);
@@ -263,15 +261,6 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
       sw.F64(is.output_mb);
       sw.F64(is.metadata_mb);
     }
-    sw.U64(st.shuffle_records);
-    sw.U64(st.shuffle_messages);
-    sw.U64(st.fingerprint_collisions);
-    sw.U64(st.combined_messages);
-    sw.F64(st.combined_mb);
-    sw.U64(st.filtered_messages);
-    sw.U64(st.task_retries);
-    sw.U64(st.faults_injected);
-    sw.F64(st.retry_ms);
     sw.F64(shuffle_sent_bytes);
     GUMBO_RETURN_IF_ERROR(
         tp->Send(me, 0, sw.Finish(FrameType::kJobStats, me32, job_aux)));
@@ -320,14 +309,11 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
                            ExpectFrame(tp, me, s, FrameType::kJobStats));
     wire_bytes_total += static_cast<double>(sbytes.size());
     GUMBO_ASSIGN_OR_RETURN(FrameReader srd, FrameReader::Parse(sbytes));
-    double shuffle_mb = 0.0, hdfs_read = 0.0, hdfs_write = 0.0, recv_mb = 0.0;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&shuffle_mb));
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&hdfs_read));
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&hdfs_write));
+    mr::JobCounters counters;
+    GUMBO_RETURN_IF_ERROR(DecodeJobCounters(&srd, &counters));
+    st += counters;
+    double recv_mb = 0.0;
     GUMBO_RETURN_IF_ERROR(srd.ReadF64(&recv_mb));
-    st.shuffle_mb += shuffle_mb;
-    st.hdfs_read_mb += hdfs_read;
-    st.hdfs_write_mb += hdfs_write;
     received_mb += recv_mb;
     uint32_t n = 0;
     GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
@@ -360,28 +346,9 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
       st.inputs[i].output_mb += out_mb;
       st.inputs[i].metadata_mb += meta_mb;
     }
-    uint64_t u = 0;
-    double d = 0.0;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.shuffle_records += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.shuffle_messages += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.fingerprint_collisions += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.combined_messages += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&d));
-    st.combined_mb += d;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.filtered_messages += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.task_retries += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadU64(&u));
-    st.faults_injected += u;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&d));
-    st.retry_ms += d;
-    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&d));
-    wire_bytes_total += d;  // the worker's shuffle + fragment sends
+    double sent_bytes = 0.0;
+    GUMBO_RETURN_IF_ERROR(srd.ReadF64(&sent_bytes));
+    wire_bytes_total += sent_bytes;  // the worker's shuffle + fragment sends
   }
 
   // Global reconciliation — same invariant, same tolerance as the
@@ -476,7 +443,6 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
 
     // ---- Round barrier.
     mr::RoundStats rs;
-    rs.round = static_cast<int>(ri + 1);
     rs.jobs = round;
     rs.max_concurrent = 1;
     if (me == 0) {
@@ -496,10 +462,6 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
           GUMBO_RETURN_IF_ERROR(tp->Send(0, s, frame));
         }
         for (Relation& out : r.outputs) db->Put(std::move(out));
-        const double cost = r.stats.TotalCost();
-        rs.max_job_cost = std::max(rs.max_job_cost, cost);
-        rs.sum_job_cost += cost;
-        rs.shuffle_mb += r.stats.shuffle_mb;
         stats.jobs[round[k]] = std::move(r.stats);
       }
     } else {
@@ -513,8 +475,6 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
           GUMBO_ASSIGN_OR_RETURN(Relation rel, DecodeRelationBody(&rd));
           db->Put(std::move(rel));
         }
-        mr::RoundStats& worker_rs = rs;
-        worker_rs.shuffle_mb += results[k].stats.shuffle_mb;
         stats.jobs[round[k]] = std::move(results[k].stats);
       }
     }

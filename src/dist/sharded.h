@@ -14,12 +14,12 @@
 //     the shard owning its partition — including self, through the same
 //     transport path) -> partition + run owned reduces -> ship output
 //     fragments and stats to the coordinator;
-//   * the coordinator merges shard stats (disjoint task/partition slots
-//     sum element-wise), reconciles map-side vs reduce-side accounting
-//     globally, assembles outputs in ascending partition order, and at
-//     the round barrier commits them in job order — then broadcasts the
-//     committed relations so every replica re-synchronizes before the
-//     next round.
+//   * the coordinator merges shard stats (the mr::JobCounters blocks sum
+//     with +=, disjoint task/partition slots element-wise), reconciles
+//     map-side vs reduce-side accounting globally, assembles outputs in
+//     ascending partition order, and at the round barrier commits them
+//     in job order — then broadcasts the committed relations so every
+//     replica re-synchronizes before the next round.
 //
 // Byte-identity to the single-process runtime (the oracle pinned by
 // tests/dist_test.cc, same pattern as tests/shuffle_flat_test.cc): the

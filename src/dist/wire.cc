@@ -4,6 +4,15 @@
 
 namespace gumbo::dist {
 
+namespace {
+
+void Put(FrameWriter* w, uint64_t v) { w->U64(v); }
+void Put(FrameWriter* w, double v) { w->F64(v); }
+Status Get(FrameReader* r, uint64_t* v) { return r->ReadU64(v); }
+Status Get(FrameReader* r, double* v) { return r->ReadF64(v); }
+
+}  // namespace
+
 uint64_t WireChecksum(const uint8_t* data, size_t size) {
   uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
   for (size_t i = 0; i < size; ++i) {
@@ -33,7 +42,9 @@ std::vector<uint8_t> FrameWriter::Finish(FrameType type, uint32_t src_shard,
   put(&aux, sizeof(aux));
   put(&body_bytes, sizeof(body_bytes));
   put(&checksum, sizeof(checksum));
-  std::memcpy(p, body_.data(), body_.size());
+  // An empty body's data() may be null, and memcpy requires valid
+  // pointers even for zero bytes.
+  if (!body_.empty()) std::memcpy(p, body_.data(), body_.size());
   body_.clear();
   return frame;
 }
@@ -141,6 +152,18 @@ Result<Relation> DecodeRelationBody(FrameReader* r) {
   rel.Reserve(rows);
   rel.AppendRaw(words.data(), fps.data(), rows);
   return rel;
+}
+
+void EncodeJobCounters(const mr::JobCounters& c, FrameWriter* w) {
+  mr::JobCounters::ForEachField([&](auto field) { Put(w, c.*field); });
+}
+
+Status DecodeJobCounters(FrameReader* r, mr::JobCounters* c) {
+  Status s;
+  mr::JobCounters::ForEachField([&](auto field) {
+    if (s.ok()) s = Get(r, &(c->*field));
+  });
+  return s;
 }
 
 std::vector<uint8_t> EncodeErrorFrame(const Status& s, uint32_t src_shard) {

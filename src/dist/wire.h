@@ -32,11 +32,13 @@
 
 #include "common/relation.h"
 #include "common/result.h"
+#include "mr/stats.h"
 
 namespace gumbo::dist {
 
 inline constexpr uint32_t kWireMagic = 0x30424D47u;  // "GMB0" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+/// 2: kJobStats bodies open with the mr::JobCounters block.
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 32;
 
 /// Frame discriminators of the shard protocol (src/dist/sharded.cc).
@@ -136,6 +138,12 @@ std::vector<uint8_t> EncodeRelationFrame(const Relation& rel,
 /// Decodes a relation encoded by EncodeRelationBody from `r`'s current
 /// position. Fingerprints are adopted verbatim (Relation::AppendRaw).
 Result<Relation> DecodeRelationBody(FrameReader* r);
+
+/// Encodes / decodes the summed job counters of a kJobStats body: every
+/// mr::JobCounters field in ForEachField order, 8 bytes each (doubles as
+/// their bit patterns).
+void EncodeJobCounters(const mr::JobCounters& c, FrameWriter* w);
+Status DecodeJobCounters(FrameReader* r, mr::JobCounters* c);
 
 /// Encodes / decodes a Status as a kError body.
 std::vector<uint8_t> EncodeErrorFrame(const Status& s, uint32_t src_shard);

@@ -81,20 +81,11 @@ Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
     // Barrier: commit outputs in job-index order so the database contents
     // (and any output-name collisions) match a sequential run exactly.
     RoundStats rs;
-    rs.round = static_cast<int>(ri + 1);
     rs.jobs = round;
     rs.max_concurrent = peak.load();
     for (size_t k = 0; k < round.size(); ++k) {
       Engine::JobResult& r = **results[k];
       for (Relation& out : r.outputs) db->Put(std::move(out));
-      double cost = r.stats.TotalCost();
-      rs.max_job_cost = std::max(rs.max_job_cost, cost);
-      rs.sum_job_cost += cost;
-      // Round-level shuffle volume is *derived* from the job stats at the
-      // commit barrier, never re-measured: JobStats::shuffle_mb is the
-      // single source of truth (see mr/stats.h; asserted in
-      // tests/runtime_test.cc).
-      rs.shuffle_mb += r.stats.shuffle_mb;
       stats.jobs[round[k]] = std::move(r.stats);
     }
     rs.wall_ms = ms_since(round_start);

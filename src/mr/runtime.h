@@ -12,8 +12,8 @@
 //   3. after the round barrier, outputs are committed to the database in
 //      job-index order, so results are byte-identical to a sequential run
 //      regardless of worker count or scheduling;
-//   4. per-round metrics (job set, modeled max/sum cost, observed peak
-//      concurrency, wall clock) are aggregated into ProgramStats.
+//   4. per-round metrics (job set, observed peak concurrency, wall
+//      clock) are recorded in ProgramStats.
 //
 // The modeled clock is unchanged: net_time still comes from the
 // slot-constrained cluster simulation (mr/program.h), which overlaps

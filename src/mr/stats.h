@@ -29,21 +29,20 @@ struct InputStats {
   int num_map_tasks = 0;     ///< m_i
 };
 
-struct JobStats {
-  std::string job_name;
-  std::vector<InputStats> inputs;
-  std::vector<double> map_task_costs;     ///< cost-seconds per map task
-  std::vector<double> reduce_task_costs;  ///< cost-seconds per reduce task
-  int num_reducers = 0;
+/// The counters a job accumulates that shards sum (DESIGN.md §2). Each
+/// is declared once, here, and ForEachField is their one enumeration:
+/// operator+= sums jobs into a program or query total, and a sharded
+/// worker ships exactly this set in its kJobStats frame
+/// (dist::EncodeJobCounters). Every field is 8 bytes wide.
+struct JobCounters {
   double hdfs_read_mb = 0.0;
   /// Communication: mapper -> reducer bytes, measured once on the map
   /// side of the shuffle, after combining (DESIGN.md §5.1). This is the
   /// single source of truth for shuffle volume: the reduce-side partition
-  /// totals and RoundStats::shuffle_mb are derived from it, never
-  /// re-measured (reconciled in tests/runtime_test.cc).
+  /// totals are reconciled against it, never re-measured
+  /// (tests/runtime_test.cc).
   double shuffle_mb = 0.0;
   double hdfs_write_mb = 0.0;
-  double job_overhead = 0.0;  ///< cost_h
 
   // ---- Shuffle-volume optimization counters (DESIGN.md §5) ----
   uint64_t shuffle_records = 0;   ///< materialized records (post-packing)
@@ -55,14 +54,48 @@ struct JobStats {
   uint64_t combined_messages = 0; ///< values removed by the combiner
   double combined_mb = 0.0;       ///< intermediate MB the combiner removed
   uint64_t filtered_messages = 0; ///< emissions suppressed by Bloom filters
-  double filter_mb = 0.0;           ///< Bloom filter bitset MB (represented)
-  double filter_broadcast_mb = 0.0; ///< filter_mb shipped to every map task
-  double filter_build_cost = 0.0;   ///< cost-seconds to build the filters
 
   // ---- Fault-tolerance counters (DESIGN.md §11) ----
   uint64_t task_retries = 0;    ///< task attempts abandoned and re-run
   uint64_t faults_injected = 0; ///< injected faults this job observed
   double retry_ms = 0.0;        ///< wall time spent in abandoned attempts
+
+  /// Calls f(&JobCounters::field) once per field, in declaration order.
+  template <typename F>
+  static void ForEachField(F&& f) {
+    f(&JobCounters::hdfs_read_mb);
+    f(&JobCounters::shuffle_mb);
+    f(&JobCounters::hdfs_write_mb);
+    f(&JobCounters::shuffle_records);
+    f(&JobCounters::shuffle_messages);
+    f(&JobCounters::fingerprint_collisions);
+    f(&JobCounters::combined_messages);
+    f(&JobCounters::combined_mb);
+    f(&JobCounters::filtered_messages);
+    f(&JobCounters::task_retries);
+    f(&JobCounters::faults_injected);
+    f(&JobCounters::retry_ms);
+  }
+
+  JobCounters& operator+=(const JobCounters& o) {
+    ForEachField([&](auto field) { this->*field += o.*field; });
+    return *this;
+  }
+};
+
+struct JobStats : JobCounters {
+  std::string job_name;
+  std::vector<InputStats> inputs;
+  std::vector<double> map_task_costs;     ///< cost-seconds per map task
+  std::vector<double> reduce_task_costs;  ///< cost-seconds per reduce task
+  int num_reducers = 0;
+
+  // Not JobCounters: every shard computes these identically in Prepare,
+  // so summing them across shards would multiply them.
+  double job_overhead = 0.0;        ///< cost_h
+  double filter_mb = 0.0;           ///< Bloom filter bitset MB (represented)
+  double filter_broadcast_mb = 0.0; ///< filter_mb shipped to every map task
+  double filter_build_cost = 0.0;   ///< cost-seconds to build the filters
 
   // ---- Distribution (DESIGN.md §13) ----
   /// Real bytes this job pushed through the shard transport (shuffle
@@ -89,19 +122,13 @@ struct JobStats {
 /// one dependency-depth level of the program's job DAG; all jobs of a
 /// round are independent and execute concurrently.
 struct RoundStats {
-  int round = 0;              ///< 1-based round number
   std::vector<size_t> jobs;   ///< program job indices executed this round
-  double max_job_cost = 0.0;  ///< modeled: slowest job (overhead + tasks)
-  double sum_job_cost = 0.0;  ///< modeled: aggregate cost of the round
   int max_concurrent = 0;     ///< observed peak of jobs in flight at once
   double wall_ms = 0.0;       ///< real wall-clock of the round
-  /// Shuffle MB of the round's jobs, copied from JobStats::shuffle_mb at
-  /// the commit barrier — derived, never re-measured, so program totals
-  /// and round totals cannot drift apart (tests/runtime_test.cc asserts
-  /// the reconciliation).
-  double shuffle_mb = 0.0;
 };
 
+/// A program's jobs and rounds. Its counter totals are not kept here:
+/// plan::Metrics sums JobCounters over `jobs` (plan/executor.h).
 struct ProgramStats {
   std::vector<JobStats> jobs;
   std::vector<RoundStats> round_stats;  ///< filled by the round runtime
@@ -110,87 +137,12 @@ struct ProgramStats {
   double wall_ms = 0.0;     ///< real wall-clock of the whole program
   int rounds = 0;           ///< longest dependency chain of jobs
 
-  /// Modeled net time under an idealized unconstrained cluster: rounds run
-  /// back to back, jobs within a round fully overlap (max-per-round). An
-  /// upper-level sanity bound on the slot-constrained net_time.
-  double RoundNetTime() const {
-    double v = 0.0;
-    for (const auto& r : round_stats) v += r.max_job_cost;
-    return v;
-  }
   /// Largest observed number of concurrently-executing jobs in any round.
   int MaxConcurrentJobs() const {
     int v = 0;
     for (const auto& r : round_stats) {
       if (r.max_concurrent > v) v = r.max_concurrent;
     }
-    return v;
-  }
-
-  double HdfsReadMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.hdfs_read_mb;
-    return v;
-  }
-  double ShuffleMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.shuffle_mb;
-    return v;
-  }
-  double HdfsWriteMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.hdfs_write_mb;
-    return v;
-  }
-
-  // ---- Shuffle-volume optimization aggregates (DESIGN.md §5) ----
-  uint64_t ShuffleRecords() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.shuffle_records;
-    return v;
-  }
-  uint64_t ShuffleMessages() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.shuffle_messages;
-    return v;
-  }
-  uint64_t CombinedMessages() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.combined_messages;
-    return v;
-  }
-  uint64_t FilteredMessages() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.filtered_messages;
-    return v;
-  }
-  double FilterBroadcastMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.filter_broadcast_mb;
-    return v;
-  }
-
-  // ---- Distribution aggregates (DESIGN.md §13) ----
-  double DistWireMb() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.dist_wire_mb;
-    return v;
-  }
-
-  // ---- Fault-tolerance aggregates (DESIGN.md §11) ----
-  uint64_t TaskRetries() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.task_retries;
-    return v;
-  }
-  uint64_t FaultsInjected() const {
-    uint64_t v = 0;
-    for (const auto& j : jobs) v += j.faults_injected;
-    return v;
-  }
-  double RetryMs() const {
-    double v = 0.0;
-    for (const auto& j : jobs) v += j.retry_ms;
     return v;
   }
 };

@@ -28,40 +28,33 @@ Result<mr::ProgramStats> RunRounds(const mr::Program& program,
   return mr::Runtime(engine).Execute(program, db, ctx.sched);
 }
 
-// The paper's four metrics plus the shuffle/round counters, derived from
-// the program statistics.
+// The paper's four metrics plus the job counters and round structure,
+// derived from the program statistics.
 void FillMetrics(ExecutionResult* result) {
   // Full reset first: Metrics also carries serving fields (plan_cache_hit,
   // queue_ms, sched_wait_ms) that this derivation does not touch, and
-  // max_jobs_per_round folds via std::max — a reused ExecutionResult must
-  // not leak a previous execution's values into this one
-  // (tests/serve_test.cc pins this).
+  // the counters and max_jobs_per_round accumulate — a reused
+  // ExecutionResult must not leak a previous execution's values into
+  // this one (tests/serve_test.cc pins this).
   result->metrics = Metrics{};
   Metrics& m = result->metrics;
-  m.net_time = result->stats.net_time;
-  m.total_time = result->stats.total_time;
-  m.input_mb = result->stats.HdfsReadMb();
-  m.communication_mb =
-      result->stats.ShuffleMb() + result->stats.FilterBroadcastMb();
-  m.shuffle_mb = result->stats.ShuffleMb();
-  m.dist_wire_mb = result->stats.DistWireMb();
-  m.output_mb = result->stats.HdfsWriteMb();
-  m.shuffle_records = result->stats.ShuffleRecords();
-  m.shuffle_messages = result->stats.ShuffleMessages();
-  m.combined_messages = result->stats.CombinedMessages();
-  m.filtered_messages = result->stats.FilteredMessages();
-  m.filter_broadcast_mb = result->stats.FilterBroadcastMb();
-  m.wall_ms = result->stats.wall_ms;
-  m.jobs = static_cast<int>(result->stats.jobs.size());
-  m.rounds = result->stats.rounds;
-  for (const mr::RoundStats& r : result->stats.round_stats) {
+  const mr::ProgramStats& stats = result->stats;
+  for (const mr::JobStats& js : stats.jobs) {
+    m += js;
+    m.filter_broadcast_mb += js.filter_broadcast_mb;
+    m.dist_wire_mb += js.dist_wire_mb;
+  }
+  m.communication_mb = m.shuffle_mb + m.filter_broadcast_mb;
+  m.net_time = stats.net_time;
+  m.total_time = stats.total_time;
+  m.wall_ms = stats.wall_ms;
+  m.jobs = static_cast<int>(stats.jobs.size());
+  m.rounds = stats.rounds;
+  for (const mr::RoundStats& r : stats.round_stats) {
     m.max_jobs_per_round =
         std::max(m.max_jobs_per_round, static_cast<int>(r.jobs.size()));
   }
-  m.peak_concurrent_jobs = result->stats.MaxConcurrentJobs();
-  m.task_retries = result->stats.TaskRetries();
-  m.faults_injected = result->stats.FaultsInjected();
-  m.retry_ms = result->stats.RetryMs();
+  m.peak_concurrent_jobs = stats.MaxConcurrentJobs();
 }
 
 }  // namespace

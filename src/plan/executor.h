@@ -33,31 +33,23 @@ struct ExecutionContext {
   int local_shards = 1;
 };
 
-/// The paper's four performance metrics (§5.1) plus bookkeeping.
-struct Metrics {
+/// The paper's four performance metrics (§5.1) plus bookkeeping. The
+/// inherited counters are the plan's jobs summed (mr::JobCounters):
+/// hdfs_read_mb is the input cost, hdfs_write_mb the bytes written.
+struct Metrics : mr::JobCounters {
   double net_time = 0.0;        ///< query submission -> final result
   double total_time = 0.0;      ///< aggregate task time
-  double input_mb = 0.0;        ///< bytes read from HDFS over the plan
   /// Bytes shuffled mapper -> reducer, plus Bloom-filter broadcast bytes
   /// when filters are in use (DESIGN.md §5.3).
   double communication_mb = 0.0;
-  /// Pure mapper -> reducer shuffle bytes (no filter broadcast) — the
-  /// figure the §5 shuffle-volume optimizations shrink.
-  double shuffle_mb = 0.0;
+  double filter_broadcast_mb = 0.0;  ///< filter bits shipped to map tasks
   /// Real wire frame bytes exchanged between shards (DESIGN.md §13);
   /// zero for single-process executions. Charged to the cost model at
   /// the transfer rate via JobStats::dist_cost.
   double dist_wire_mb = 0.0;
-  double output_mb = 0.0;
   double wall_ms = 0.0;         ///< real wall-clock of the execution
   int jobs = 0;
   int rounds = 0;
-  // ---- Shuffle-volume optimization counters (DESIGN.md §5) ----
-  uint64_t shuffle_records = 0;   ///< materialized shuffle records
-  uint64_t shuffle_messages = 0;  ///< shuffled values (post-combine)
-  uint64_t combined_messages = 0; ///< values removed by combiners
-  uint64_t filtered_messages = 0; ///< emissions suppressed by Bloom filters
-  double filter_broadcast_mb = 0.0;  ///< filter bits shipped to map tasks
   /// Largest number of jobs sharing one round (plan structure).
   int max_jobs_per_round = 0;
   /// Observed peak of concurrently-executing jobs (runtime behavior).
@@ -82,15 +74,6 @@ struct Metrics {
   /// splits into "our work got slower" vs "our work waited its turn".
   double sched_wait_ms = 0.0;
   uint64_t sched_morsels = 0;  ///< morsels this query's groups executed
-  // ---- Fault-tolerance attribution (DESIGN.md §11) ----
-  /// Task attempts abandoned and re-run (map scans, shuffle sorts,
-  /// reduce walks) across the plan's jobs, and the injected faults that
-  /// caused them. retry_ms is the wall time those abandoned attempts
-  /// burned — the latency cost of surviving the faults, the retry
-  /// analogue of sched_wait_ms attribution.
-  uint64_t task_retries = 0;
-  uint64_t faults_injected = 0;
-  double retry_ms = 0.0;
 };
 
 struct ExecutionResult {

@@ -38,14 +38,13 @@ ServiceOptions InstallCalibration(ServiceOptions options) {
   return options;
 }
 
-// Environment escape hatches for the delta layer (DESIGN.md §12):
+// Environment escape hatch for the delta layer (DESIGN.md §12):
 // GUMBO_DISABLE_DELTA=1 forces the result cache (and with it all delta
-// maintenance) off; GUMBO_RESULT_CACHE_CAP overrides its capacity.
+// maintenance) off.
 ServiceOptions ApplyDeltaEnv(ServiceOptions options) {
-  const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
-  if (cfg.disable_delta.value_or(false)) options.result_cache = false;
-  options.result_cache_capacity =
-      cfg.result_cache_cap.value_or(options.result_cache_capacity);
+  if (common::RuntimeConfig::Get().disable_delta.value_or(false)) {
+    options.result_cache = false;
+  }
   return options;
 }
 

@@ -94,8 +94,7 @@ struct ServiceOptions {
   /// query outputs are served without execution while their epochs hold,
   /// and maintained by a delta pass across insert-only writes instead of
   /// being recomputed. Off = every epoch movement invalidates (the
-  /// pre-delta behavior). Forced off by GUMBO_DISABLE_DELTA=1;
-  /// GUMBO_RESULT_CACHE_CAP overrides the capacity.
+  /// pre-delta behavior). Forced off by GUMBO_DISABLE_DELTA=1.
   bool result_cache = true;
   size_t result_cache_capacity = 32;
   plan::PlannerOptions planner;

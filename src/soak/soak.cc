@@ -143,7 +143,7 @@ Outcome CheckStrategy(const sgf::SgfQuery& query, const Database& db,
                ? Outcome::kCleanError
                : Outcome::kFail;
   }
-  if (retries != nullptr) *retries += executed->stats.TaskRetries();
+  if (retries != nullptr) *retries += executed->metrics.task_retries;
   if (feed != nullptr) {
     plan::CalibrateFromExecution(*plan, executed->stats, feed);
   }

@@ -3,10 +3,12 @@
 // printer.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/config.h"
 #include "common/dictionary.h"
@@ -206,6 +208,46 @@ TEST(RuntimeConfigTest, ScopedOverrideReachesGetAndDescribe) {
   }
   // Leaving the scope restores the previous configuration.
   EXPECT_EQ(common::RuntimeConfig::Get().morsel_rows, before);
+}
+
+// strtoull negates a leading '-' modulo 2^64: unchecked, "-1" parses as a
+// worker or tuple count near 1.8e19, and the first allocation sized by it
+// aborts the process. A negative value must leave its knob unset, as any
+// other unparseable value does.
+TEST(RuntimeConfigTest, NegativeValuesLeaveKnobsUnset) {
+  const char* const kKnobs[] = {"GUMBO_SCHED_WORKERS", "GUMBO_MORSEL_ROWS",
+                                "GUMBO_SOAK_ITERS", "GUMBO_BENCH_TUPLES"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* knob : kKnobs) {
+    const char* v = std::getenv(knob);
+    saved.push_back(v != nullptr ? std::optional<std::string>(v)
+                                 : std::nullopt);
+  }
+  auto parse_with = [&](const char* value) {
+    for (const char* knob : kKnobs) setenv(knob, value, /*overwrite=*/1);
+    return common::RuntimeConfig::FromEnv();
+  };
+  for (const char* value : {"-1", "  -5", "-0"}) {
+    SCOPED_TRACE(std::string("value \"") + value + "\"");
+    const common::RuntimeConfig cfg = parse_with(value);
+    EXPECT_FALSE(cfg.sched_workers.has_value());
+    EXPECT_FALSE(cfg.morsel_rows.has_value());
+    EXPECT_FALSE(cfg.soak_iters.has_value());
+    EXPECT_FALSE(cfg.bench_tuples.has_value());
+  }
+  // The same knobs still parse a positive value.
+  const common::RuntimeConfig cfg = parse_with("300");
+  EXPECT_EQ(cfg.sched_workers, std::optional<size_t>(300));
+  EXPECT_EQ(cfg.morsel_rows, std::optional<size_t>(300));
+  EXPECT_EQ(cfg.soak_iters, std::optional<uint64_t>(300));
+  EXPECT_EQ(cfg.bench_tuples, std::optional<size_t>(300));
+  for (size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i]) {
+      setenv(kKnobs[i], saved[i]->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv(kKnobs[i]);
+    }
+  }
 }
 
 // ---- RNG -------------------------------------------------------------------

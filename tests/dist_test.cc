@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancel.h"
@@ -179,6 +181,55 @@ TEST(WireTest, ErrorFrameCarriesStatus) {
   EXPECT_EQ(back.code(), StatusCode::kUnavailable);
   EXPECT_NE(back.ToString().find("shard 2 lost its replica"),
             std::string::npos);
+}
+
+// The kJobStats counter block: every mr::JobCounters field survives the
+// codec and is summed by +=. A field left out of ForEachField would
+// stay zero below and fail the word scan.
+TEST(WireTest, JobCountersRoundTripEveryField) {
+  static_assert(std::is_trivially_copyable_v<mr::JobCounters>);
+  mr::JobCounters c;
+  uint64_t next = 1;
+  mr::JobCounters::ForEachField([&](auto field) {
+    using T = std::remove_reference_t<decltype(c.*field)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      c.*field = static_cast<T>(next) + 0.5;
+    } else {
+      c.*field = next;
+    }
+    ++next;
+  });
+  for (size_t off = 0; off < sizeof(c); off += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, reinterpret_cast<const uint8_t*>(&c) + off,
+                sizeof(word));
+    EXPECT_NE(word, 0u) << "the field at byte " << off
+                        << " is missing from ForEachField";
+  }
+
+  FrameWriter w;
+  EncodeJobCounters(c, &w);
+  const std::vector<uint8_t> frame = w.Finish(FrameType::kJobStats, 1);
+  auto rd = FrameReader::Parse(frame);
+  ASSERT_OK(rd);
+  mr::JobCounters back;
+  ASSERT_OK(DecodeJobCounters(&*rd, &back));
+  EXPECT_EQ(rd->remaining(), 0u);
+  mr::JobCounters twice = c;
+  twice += c;
+  mr::JobCounters::ForEachField([&](auto field) {
+    EXPECT_EQ(back.*field, c.*field);
+    EXPECT_EQ(twice.*field, c.*field * 2);
+  });
+
+  // A body too short for the block fails with a typed error.
+  FrameWriter empty;
+  const std::vector<uint8_t> short_frame =
+      empty.Finish(FrameType::kJobStats, 1);
+  auto short_rd = FrameReader::Parse(short_frame);
+  ASSERT_OK(short_rd);
+  EXPECT_EQ(DecodeJobCounters(&*short_rd, &back).code(),
+            StatusCode::kParseError);
 }
 
 // ---- Shuffle export / import ------------------------------------------------
@@ -396,6 +447,78 @@ TEST(ShardedTest, SingleShardChargesNoWireBytes) {
   double wire_mb = -1.0;
   RunWorkload("A1", /*local_shards=*/1, &wire_mb);
   EXPECT_EQ(wire_mb, 0.0);
+}
+
+// The coordinator's merged job stats equal the single-process run's,
+// field by field: the summed counters, the per-task costs, the per-input
+// N_i and M_i, the reducer count, and the Bloom figures every shard
+// computes alike. The wire charge is the one addition.
+TEST(ShardedTest, ShardStatsMatchSingleProcess) {
+  for (const std::string wl : {"A1", "A3", "B1"}) {
+    auto w = SmallWorkload(wl);
+    ASSERT_OK(w);
+    const cost::ClusterConfig config = TestCluster();
+    plan::Planner planner(config, plan::PlannerOptions{});
+    auto plan = planner.Plan(w->query, w->db);
+    ASSERT_OK(plan);
+    mr::Engine engine(config);
+    auto run = [&](int shards) {
+      plan::ExecutionContext ectx;
+      ectx.local_shards = shards;
+      Database outputs;
+      return plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &outputs,
+                                         ectx);
+    };
+    const auto single = run(1);
+    ASSERT_OK(single);
+    const std::vector<mr::JobStats>& want = single->stats.jobs;
+    for (const int shards : {2, 3, 4}) {
+      SCOPED_TRACE(wl + " at " + std::to_string(shards) + " shards");
+      const auto sharded = run(shards);
+      ASSERT_OK(sharded);
+      const std::vector<mr::JobStats>& got = sharded->stats.jobs;
+      ASSERT_EQ(got.size(), want.size());
+      double dist_cost = 0.0;
+      for (size_t j = 0; j < want.size(); ++j) {
+        SCOPED_TRACE("job " + std::to_string(j));
+        const mr::JobStats& a = got[j];
+        const mr::JobStats& b = want[j];
+        mr::JobCounters::ForEachField([&](auto field) {
+          if constexpr (std::is_floating_point_v<
+                            std::remove_reference_t<decltype(a.*field)>>) {
+            EXPECT_DOUBLE_EQ(a.*field, b.*field);
+          } else {
+            EXPECT_EQ(a.*field, b.*field);
+          }
+        });
+        ASSERT_EQ(a.map_task_costs.size(), b.map_task_costs.size());
+        for (size_t i = 0; i < b.map_task_costs.size(); ++i) {
+          EXPECT_DOUBLE_EQ(a.map_task_costs[i], b.map_task_costs[i]);
+        }
+        ASSERT_EQ(a.reduce_task_costs.size(), b.reduce_task_costs.size());
+        for (size_t i = 0; i < b.reduce_task_costs.size(); ++i) {
+          EXPECT_DOUBLE_EQ(a.reduce_task_costs[i], b.reduce_task_costs[i]);
+        }
+        ASSERT_EQ(a.inputs.size(), b.inputs.size());
+        for (size_t i = 0; i < b.inputs.size(); ++i) {
+          EXPECT_EQ(a.inputs[i].dataset, b.inputs[i].dataset);
+          EXPECT_DOUBLE_EQ(a.inputs[i].input_mb, b.inputs[i].input_mb);
+          EXPECT_DOUBLE_EQ(a.inputs[i].output_mb, b.inputs[i].output_mb);
+          EXPECT_DOUBLE_EQ(a.inputs[i].metadata_mb, b.inputs[i].metadata_mb);
+          EXPECT_EQ(a.inputs[i].num_map_tasks, b.inputs[i].num_map_tasks);
+        }
+        EXPECT_EQ(a.num_reducers, b.num_reducers);
+        EXPECT_DOUBLE_EQ(a.filter_mb, b.filter_mb);
+        EXPECT_DOUBLE_EQ(a.filter_broadcast_mb, b.filter_broadcast_mb);
+        EXPECT_DOUBLE_EQ(a.filter_build_cost, b.filter_build_cost);
+        dist_cost += a.dist_cost;
+      }
+      EXPECT_GT(dist_cost, 0.0);
+      EXPECT_DOUBLE_EQ(sharded->stats.net_time, single->stats.net_time);
+      EXPECT_DOUBLE_EQ(sharded->stats.total_time - dist_cost,
+                       single->stats.total_time);
+    }
+  }
 }
 
 // ExecutionContext's cluster branch (a borrowed Cluster handle, the path

@@ -61,7 +61,7 @@ TEST(SchedulerTest, ParallelForEdgeCases) {
 // the grand total must come out exact. Also checks the ticket ledger:
 // every submitted closure is executed exactly once (morsels counter).
 TEST(SchedulerTest, NoLostTasksUnderConcurrentSubmitAndSteal) {
-  Scheduler scheduler(4, /*stealing=*/true);
+  Scheduler scheduler(4);
   constexpr int kThreads = 8;
   constexpr int kParents = 200;  // each parent chains one child
   std::atomic<int> executed{0};
@@ -293,7 +293,7 @@ TEST(SchedulerTest, HelpingWaitCompletesNestedGroupsOnOneWorker) {
 // while that worker is blocked, the only way the child can run is for
 // the other worker to steal it. Deadlock here = a stealing bug.
 TEST(SchedulerTest, IdleWorkerStealsChainContinuation) {
-  Scheduler scheduler(2, /*stealing=*/true);
+  Scheduler scheduler(2);
   SchedContext ctx;
   ctx.scheduler = &scheduler;
   Scheduler::TaskGroup group(ctx);
@@ -307,16 +307,6 @@ TEST(SchedulerTest, IdleWorkerStealsChainContinuation) {
   SpinUntil([&] { return child_done.load(); });
   group.Wait();
   EXPECT_GE(scheduler.stats().steals, 1u);
-}
-
-TEST(SchedulerTest, DisabledStealingStillCompletesViaInjectionQueue) {
-  Scheduler scheduler(4, /*stealing=*/false);
-  EXPECT_FALSE(scheduler.stealing());
-  std::atomic<int> executed{0};
-  SchedContext ctx;
-  scheduler.ParallelFor(200, [&](size_t) { executed.fetch_add(1); }, ctx);
-  EXPECT_EQ(executed.load(), 200);
-  EXPECT_EQ(scheduler.stats().steals, 0u);
 }
 
 // Stall accounting (the sched_wait attribution source, DESIGN.md §9):
@@ -366,27 +356,13 @@ TEST(SchedOptionsTest, FromEnvParsesKnobs) {
     common::RuntimeConfig::ScopedOverride ov{common::RuntimeConfig{}};
     SchedOptions defaults = SchedOptions::FromEnv();
     EXPECT_EQ(defaults.morsel_rows, 4096u);
-    EXPECT_TRUE(defaults.stealing);
   }
   {
     common::RuntimeConfig cfg;
     cfg.morsel_rows = 128;
-    cfg.disable_stealing = true;
     common::RuntimeConfig::ScopedOverride ov{std::move(cfg)};
     SchedOptions tuned = SchedOptions::FromEnv();
     EXPECT_EQ(tuned.morsel_rows, 128u);
-    EXPECT_FALSE(tuned.stealing);
-  }
-  {
-    // "0" and empty mean "not disabled"; garbage rows never parse. The
-    // env layer leaves such knobs disengaged (RuntimeConfig::FromEnv),
-    // so the struct defaults hold.
-    common::RuntimeConfig cfg;
-    cfg.disable_stealing = false;
-    common::RuntimeConfig::ScopedOverride ov{std::move(cfg)};
-    SchedOptions fallback = SchedOptions::FromEnv();
-    EXPECT_EQ(fallback.morsel_rows, 4096u);
-    EXPECT_TRUE(fallback.stealing);
   }
 }
 
