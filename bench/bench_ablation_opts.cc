@@ -3,19 +3,17 @@
 //   Block 1 — the paper's §5.1 toggles:
 //     (1) message packing on/off,
 //     (2) tuple-id references on/off;
-//   Block 2 — the shuffle-volume optimizations of DESIGN.md §5:
-//     map-side dedup combiners and Bloom-filtered requests on/off,
-//     with a per-workload shuffle-volume table (records, messages,
-//     combined-away, filtered, communication GB).
+//   Block 2 — the shuffle-volume optimization of DESIGN.md §5:
+//     Bloom-filtered requests on/off, with a per-workload shuffle-volume
+//     table (records, messages, filtered, communication GB).
 //
 // Workloads: A1 (guard sharing), A3 (key sharing), B1 (large
 // conjunction). The binary doubles as the CI ablation smoke check
-// (.github/workflows/ci.yml): it exits non-zero if the fully-optimized
-// column shuffles more records/messages/bytes than the unoptimized one,
-// so a regression in the combiners or filters fails the build. The
-// GUMBO_DISABLE_COMBINERS / GUMBO_DISABLE_FILTERS environment knobs
-// (DESIGN.md §5.4) override every column; the invariant degrades to
-// equality and still holds.
+// (.github/workflows/ci.yml): it exits non-zero if the filtered column
+// shuffles more records/messages/bytes than the unfiltered one, so a
+// regression in the filters fails the build. The GUMBO_DISABLE_FILTERS
+// environment knob (DESIGN.md §5.4) overrides every column; the
+// invariant degrades to equality and still holds.
 #include <cstdio>
 #include <vector>
 
@@ -51,8 +49,6 @@ void PrintVolumeTable(const std::vector<std::string>& col_names,
        [](const plan::Metrics& m) { return std::to_string(m.shuffle_records); }},
       {"Shuffle messages",
        [](const plan::Metrics& m) { return std::to_string(m.shuffle_messages); }},
-      {"Combined away",
-       [](const plan::Metrics& m) { return std::to_string(m.combined_messages); }},
       {"Filtered out",
        [](const plan::Metrics& m) { return std::to_string(m.filtered_messages); }},
       {"Shuffle (GB)",
@@ -124,19 +120,14 @@ int main() {
   PrintMetricBlock("Ablation: columns relative to full optimizations", cols1,
                    rows1, row_names);
 
-  // ---- Block 2: combiners x Bloom filters (DESIGN.md §5) --------------------
-  std::printf("Ablation: combiners x Bloom filters (GREEDY, pack+ids on)\n\n");
-  const std::vector<std::string> cols2 = {"comb+filter", "comb only",
-                                          "filter only", "neither"};
+  // ---- Block 2: Bloom filters (DESIGN.md §5) -------------------------------
+  std::printf("Ablation: Bloom filters (GREEDY, pack+ids on)\n\n");
+  const std::vector<std::string> cols2 = {"filters", "none"};
   std::vector<std::vector<CellResult>> rows2;
   for (const auto& w : workloads) {
     std::vector<ops::OpOptions> cols;
-    for (auto [comb, filt] : {std::pair{true, true},
-                              std::pair{true, false},
-                              std::pair{false, true},
-                              std::pair{false, false}}) {
+    for (bool filt : {true, false}) {
       ops::OpOptions op;
-      op.combiners = comb;
       op.bloom_filters = filt;
       cols.push_back(op);
     }
@@ -144,16 +135,16 @@ int main() {
     std::printf("  ... %s done\n", w.name.c_str());
   }
   std::printf("\n");
-  PrintMetricBlock("Ablation: columns relative to combiners + filters", cols2,
-                   rows2, row_names);
+  PrintMetricBlock("Ablation: columns relative to filters", cols2, rows2,
+                   row_names);
   PrintVolumeTable(cols2, rows2, row_names);
 
-  // ---- Smoke invariant (consumed by CI): the optimized plan never shuffles
-  // more than the unoptimized one, and every run must have succeeded.
+  // ---- Smoke invariant (consumed by CI): the filtered plan never shuffles
+  // more than the unfiltered one, and every run must have succeeded.
   int failures = 0;
   for (size_t r = 0; r < rows2.size(); ++r) {
-    const CellResult& opt = rows2[r][0];      // comb+filter
-    const CellResult& base = rows2[r].back(); // neither
+    const CellResult& opt = rows2[r][0];      // filters
+    const CellResult& base = rows2[r].back(); // none
     if (!opt.ok || !base.ok) {
       std::printf("FAIL %s: run error (%s)\n", row_names[r].c_str(),
                   (!opt.ok ? opt.error : base.error).c_str());
@@ -166,7 +157,7 @@ int main() {
         mo.shuffle_messages > mb.shuffle_messages ||
         mo.shuffle_mb > mb.shuffle_mb + 1e-9) {
       std::printf(
-          "FAIL %s: optimized shuffle exceeds baseline "
+          "FAIL %s: filtered shuffle exceeds baseline "
           "(records %llu vs %llu, messages %llu vs %llu, shuffle %.2f vs "
           "%.2f MB)\n",
           row_names[r].c_str(),

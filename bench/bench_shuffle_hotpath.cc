@@ -93,7 +93,6 @@ Result<mr::JobSpec> BuildJob(const data::Workload& w) {
     eqs.push_back(std::move(eq));
   }
   ops::OpOptions op;
-  op.combiners = false;
   op.bloom_filters = false;
   return ops::BuildMsjJob(eqs, op, "shuffle-hotpath-" + w.name);
 }

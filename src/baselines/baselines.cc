@@ -397,7 +397,6 @@ Status PlanHparsQuery(const sgf::BsgfQuery& q, plan::QueryPlan* plan,
   opt.pack_messages = false;
   // The baselines model systems without gumbo's shuffle-volume
   // optimizations (DESIGN.md §5).
-  opt.combiners = false;
   opt.bloom_filters = false;
   ops::EvalTask eval_task;
   eval_task.query = q;

@@ -97,7 +97,6 @@ RuntimeConfig RuntimeConfig::FromEnv() {
     c.sched_workers = static_cast<size_t>(*v);
   }
 
-  c.disable_combiners = Flag(std::getenv("GUMBO_DISABLE_COMBINERS"));
   c.disable_filters = Flag(std::getenv("GUMBO_DISABLE_FILTERS"));
 
   c.fault_seed = U64Prefix(std::getenv("GUMBO_FAULT_SEED"));
@@ -130,7 +129,6 @@ std::string RuntimeConfig::Describe() const {
   std::string s = "runtime config (GUMBO_* environment overrides):\n";
   DescribeKnob(&s, "GUMBO_MORSEL_ROWS", morsel_rows);
   DescribeKnob(&s, "GUMBO_SCHED_WORKERS", sched_workers);
-  DescribeKnob(&s, "GUMBO_DISABLE_COMBINERS", disable_combiners);
   DescribeKnob(&s, "GUMBO_DISABLE_FILTERS", disable_filters);
   DescribeKnob(&s, "GUMBO_FAULT_SEED", fault_seed);
   DescribeKnob(&s, "GUMBO_FAULT_RATE", fault_rate);

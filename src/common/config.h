@@ -27,8 +27,7 @@ struct RuntimeConfig {
   std::optional<size_t> sched_workers;  ///< GUMBO_SCHED_WORKERS (> 0)
 
   // ---- Operator ablations (DESIGN.md §5.4) ----
-  std::optional<bool> disable_combiners;  ///< GUMBO_DISABLE_COMBINERS
-  std::optional<bool> disable_filters;    ///< GUMBO_DISABLE_FILTERS
+  std::optional<bool> disable_filters;  ///< GUMBO_DISABLE_FILTERS
 
   // ---- Fault injection (DESIGN.md §11) ----
   std::optional<uint64_t> fault_seed;    ///< GUMBO_FAULT_SEED

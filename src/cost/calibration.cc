@@ -1,6 +1,7 @@
 #include "cost/calibration.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -38,10 +39,6 @@ const char* ChannelName(Channel channel) {
       return "catalog-output";
     case Channel::kOutputBound:
       return "output-bound";
-    case Channel::kCombinerYield:
-      return "combiner-yield";
-    case Channel::kFilterYield:
-      return "filter-yield";
   }
   return "?";
 }
@@ -146,13 +143,23 @@ Status CalibrationStore::Deserialize(const std::string& text) {
   }
   while (std::getline(in, line)) {
     std::istringstream ls(line);
-    std::string tag, channel_name, regime_name;
+    std::string tag, channel_name, regime_name, count_text;
     uint64_t n = 0;
     double sum = 0.0;
     if (!(ls >> tag)) continue;
     if (tag != "cell") continue;  // unknown lines are skipped, see header
-    if (!(ls >> channel_name >> regime_name >> n >> sum)) {
+    if (!(ls >> channel_name >> regime_name >> count_text >> sum)) {
       return Status::InvalidArgument("malformed calibration line: " + line);
+    }
+    // from_chars takes no sign, so "-1" cannot wrap to 2^64 - 1. Every
+    // observation's log-ratio lies in [-ln 64, ln 64] (Observe clamps).
+    const char* count_end = count_text.data() + count_text.size();
+    const auto [count_stop, count_err] =
+        std::from_chars(count_text.data(), count_end, n);
+    if (count_err != std::errc() || count_stop != count_end || n == 0 ||
+        !(std::abs(sum) <= static_cast<double>(n) * std::log(kMaxRatio) *
+                               (1.0 + 1e-9))) {
+      return Status::InvalidArgument("calibration cell out of range: " + line);
     }
     int ci = -1, ri = -1;
     for (size_t c = 0; c < kNumChannels; ++c) {

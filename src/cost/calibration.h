@@ -61,15 +61,9 @@ enum class Channel {
   kCatalogOutput = 2,
   /// The job's output size K, defaulted to the summed input sizes.
   kOutputBound = 3,
-  /// Observed combiner yield: fraction of messages removed by map-side
-  /// combining, recorded against estimated = 1.0 so Factor() is the mean
-  /// yield. Drives the per-regime combiner knob (plan::TuneOpOptions).
-  kCombinerYield = 4,
-  /// Observed Bloom-filter yield: fraction of emissions suppressed.
-  kFilterYield = 5,
 };
 
-constexpr size_t kNumChannels = 6;
+constexpr size_t kNumChannels = 4;
 
 const char* ChannelName(Channel channel);
 
@@ -97,7 +91,10 @@ class CalibrationStore {
   uint64_t TotalObservations() const;
 
   /// Serializes the store as a small line-oriented text format (stable
-  /// across versions: unknown lines are skipped on load).
+  /// across versions: unknown lines, channels and regimes are skipped on
+  /// load). Deserialize rejects, leaving the store unchanged, any cell
+  /// Serialize cannot write: a count of 0 or with a sign, or a log-sum
+  /// beyond what `count` clamped observations can add up to.
   std::string Serialize() const;
   Status Deserialize(const std::string& text);
 

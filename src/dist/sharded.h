@@ -23,8 +23,8 @@
 //
 // Byte-identity to the single-process runtime (the oracle pinned by
 // tests/dist_test.cc, same pattern as tests/shuffle_flat_test.cc): the
-// per-task emission, combining, and packing happen once, on the task's
-// owner, exactly as in-process; the wire format ships the resulting flat
+// per-task emission and packing happen once, on the task's owner,
+// exactly as in-process; the wire format ships the resulting flat
 // records verbatim (no re-encoding, fingerprints included); the import
 // preserves per-(task, partition) record order and global task indices,
 // which is all the partition sort's tie-break (task, emission) can

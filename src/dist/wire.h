@@ -16,9 +16,9 @@
 // accessors (no alignment assumptions). Values that already live in the
 // engine's flat buffers — key/payload word arenas, relation word arenas,
 // cached row fingerprints — are copied into the body verbatim, 8 bytes
-// per word, and adopted verbatim on the far side: nothing is re-encoded,
-// re-hashed, or re-combined, which is what makes a sharded run
-// byte-identical to the single-process runtime (tests/dist_test.cc).
+// per word, and adopted verbatim on the far side: nothing is re-encoded
+// or re-hashed, which is what makes a sharded run byte-identical to the
+// single-process runtime (tests/dist_test.cc).
 //
 // Doubles (wire-byte accounting) ship as their IEEE-754 bit patterns, so
 // accounting survives the wire bit-for-bit too.

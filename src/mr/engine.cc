@@ -220,7 +220,7 @@ Status JobExecution::RunMaps(const OwnedFn& owned) {
   // Each map task runs as a *chain* of row-range morsels (DESIGN.md §9):
   // the chain shares one mapper + emission buffer, and each morsel
   // resubmits the next one, so the task's emission order — and therefore
-  // its combined/packed wire bytes and every downstream byte — is
+  // its packed wire bytes and every downstream byte — is
   // exactly the sequential order, while the scheduler is free to
   // interleave other queries' morsels between any two of ours.
   struct MapChain {
@@ -229,7 +229,6 @@ Status JobExecution::RunMaps(const OwnedFn& owned) {
     uint32_t attempt = 0;
     uint64_t attempt_start_us = 0;
     std::unique_ptr<Mapper> mapper;
-    std::unique_ptr<Combiner> combiner;
     MapOutputBuffer emitter;
     Status status;  ///< this chain's terminal failure, if any
   };
@@ -249,7 +248,6 @@ Status JobExecution::RunMaps(const OwnedFn& owned) {
     c.next_row = tasks_[c.ti].begin;
     c.mapper = job_.mapper_factory();
     if (filters_ != nullptr) c.mapper->AttachFilters(filters_.get());
-    if (job_.combiner_factory) c.combiner = job_.combiner_factory();
     c.emitter = MapOutputBuffer();
     if (faults != nullptr) c.attempt_start_us = NowUs();
   };
@@ -295,7 +293,7 @@ Status JobExecution::RunMaps(const OwnedFn& owned) {
       return;
     }
     Result<ShuffleTaskIo> io_or =
-        shuffle_.AddTaskOutput(ti, std::move(c.emitter), c.combiner.get());
+        shuffle_.AddTaskOutput(ti, std::move(c.emitter));
     if (!io_or.ok()) {
       c.status = io_or.status();
       abort.store(true, std::memory_order_relaxed);
@@ -327,7 +325,6 @@ Status JobExecution::RunMaps(const OwnedFn& owned) {
 }
 
 void JobExecution::AccountMaps(const OwnedFn& owned) {
-  const double overhead = job_.intermediate_overhead_factor;
   // Per-input aggregates and per-task map costs, over the owned tasks
   // only: unowned slots stay zero, so a coordinator reconstructs the
   // global vectors by element-wise summing the shards' disjoint fills.
@@ -349,9 +346,6 @@ void JobExecution::AccountMaps(const OwnedFn& owned) {
     stats_.shuffle_records += task_io_[ti].io.records;
     stats_.shuffle_messages += task_io_[ti].io.messages;
     stats_.fingerprint_collisions += task_io_[ti].io.fingerprint_collisions;
-    stats_.combined_messages += task_io_[ti].io.combined_messages;
-    stats_.combined_mb +=
-        task_io_[ti].io.combined_bytes * overhead * scale_ * kMbPerByte;
     stats_.filtered_messages += task_io_[ti].filtered;
   }
 }

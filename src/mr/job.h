@@ -74,26 +74,6 @@ class Reducer {
                       ReduceEmitter* emitter) = 0;
 };
 
-/// Map-side combiner (DESIGN.md §5.1): reduces one map task's value list
-/// for a single key before it is shuffled. A combiner must never merge
-/// across reduce keys and must preserve the reducer's view up to set
-/// semantics — the only combiner gumbo's operators use is the
-/// set-semantics dedup of mr/combiner.h, which docs/operators.md proves
-/// legal per operator. One instance is created per map task, so Combine
-/// may keep scratch state without synchronization.
-class Combiner {
- public:
-  virtual ~Combiner() = default;
-  /// Shrinks the `count` messages of one key group in place (the key in
-  /// flat form: `key_arity` raw words at `key`; `payload_arena` resolves
-  /// spilled payloads). Returns how many messages survive, compacted to
-  /// the front of `values`. Must keep at least one message per surviving
-  /// equivalence class and must not reorder the survivors.
-  virtual size_t Combine(const uint64_t* key, uint32_t key_arity,
-                         Message* values, size_t count,
-                         const uint64_t* payload_arena) = 0;
-};
-
 /// How the engine picks the number of reduce tasks.
 enum class ReducerAllocation {
   /// Gumbo §5.1 optimization (3): one reducer per mb_per_reducer of
@@ -142,10 +122,6 @@ struct JobSpec {
   /// reducer per reduce task.
   std::function<std::unique_ptr<Mapper>()> mapper_factory;
   std::function<std::unique_ptr<Reducer>()> reducer_factory;
-  /// Optional map-side combiner (DESIGN.md §5.1): one instance per map
-  /// task, applied by the shuffle to every key group the task emits.
-  /// Combined-away messages are accounted in JobStats::combined_messages.
-  std::function<std::unique_ptr<Combiner>()> combiner_factory;
   /// Optional Bloom-filter declaration (DESIGN.md §5.2): called once per
   /// job with the resolved input relations (JobSpec::inputs order) before
   /// the map phase. It scans nothing: it returns the sized, empty filters

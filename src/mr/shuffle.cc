@@ -28,8 +28,7 @@ Shuffle::Shuffle(size_t num_map_tasks, bool pack_messages)
 }
 
 Result<ShuffleTaskIo> Shuffle::AddTaskOutput(size_t task,
-                                             MapOutputBuffer buffer,
-                                             Combiner* combiner) {
+                                             MapOutputBuffer buffer) {
   if (task >= tasks_.size()) {
     return Status::Internal("shuffle: map task index " +
                             std::to_string(task) + " out of range (" +
@@ -45,83 +44,31 @@ Result<ShuffleTaskIo> Shuffle::AddTaskOutput(size_t task,
   td.key_arena = std::move(buffer.key_arena_);
   td.payload_arena = std::move(buffer.payload_arena_);
 
-  if (pack_messages_ || combiner != nullptr) {
-    // Lay each key group out contiguously (first-seen key order, chain =
-    // emission order within the key), combining in place on the
-    // destination range before accounting — one POD copy per message,
-    // no per-group scratch. The combiner contract needs per-key value
-    // lists, so combining always goes through the grouped form even when
-    // packing is off (survivors then become singleton records over the
-    // same contiguous range).
+  if (pack_messages_) {
+    // One record per key group: lay each group out contiguously
+    // (first-seen key order, chain = emission order within the key) —
+    // one POD copy per message, no per-group scratch.
     td.messages.reserve(buffer.messages_.size());
-    td.entries.reserve(pack_messages_ ? buffer.groups_.size()
-                                      : buffer.messages_.size());
+    td.entries.reserve(buffer.groups_.size());
     for (const MapOutputBuffer::Group& g : buffer.groups_) {
-      const size_t begin = td.messages.size();
+      KeyEntry e;
+      e.key_pos = g.key_pos;
+      e.key_arity = g.key_arity;
+      e.fingerprint = g.fingerprint;
+      e.msg_begin = static_cast<uint32_t>(td.messages.size());
       double group_wire = 0.0;
       for (uint32_t mi = g.head; mi != MapOutputBuffer::kNone;
            mi = buffer.next_[mi]) {
         td.messages.push_back(buffer.messages_[mi]);
         group_wire += buffer.messages_[mi].wire_bytes;
       }
-      size_t count = td.messages.size() - begin;
-      if (combiner != nullptr && count >= 2) {
-        const size_t kept = combiner->Combine(
-            td.key_arena.data() + g.key_pos, g.key_arity,
-            td.messages.data() + begin, count, td.payload_arena.data());
-        if (kept < 1 || kept > count) {
-          return Status::Internal(
-              "shuffle: combiner kept " + std::to_string(kept) + " of " +
-              std::to_string(count) + " values of a key group (task " +
-              std::to_string(task) +
-              "); a combiner must keep between 1 and all of them");
-        }
-        const size_t removed = count - kept;
-        td.messages.resize(begin + kept);
-        double after_wire = 0.0;
-        for (size_t i = 0; i < kept; ++i) {
-          after_wire += td.messages[begin + i].wire_bytes;
-        }
-        io.combined_messages += removed;
-        io.combined_bytes += group_wire - after_wire;
-        if (!pack_messages_) {
-          // Without packing each removed message would have paid its own
-          // key header as a singleton record.
-          io.combined_bytes +=
-              static_cast<double>(removed) * KeyWireBytes(g.key_arity);
-        }
-        group_wire = after_wire;
-        count = kept;
-      }
-      if (pack_messages_) {
-        KeyEntry e;
-        e.key_pos = g.key_pos;
-        e.key_arity = g.key_arity;
-        e.fingerprint = g.fingerprint;
-        e.msg_begin = static_cast<uint32_t>(begin);
-        e.msg_count = static_cast<uint32_t>(count);
-        e.wire_bytes = KeyWireBytes(g.key_arity) + group_wire;
-        td.entries.push_back(e);
-      } else {
-        // No packing: every surviving message pays its own key header;
-        // the messages stay where they are, entries just point at them
-        // one by one.
-        for (size_t i = 0; i < count; ++i) {
-          KeyEntry e;
-          e.key_pos = g.key_pos;
-          e.key_arity = g.key_arity;
-          e.fingerprint = g.fingerprint;
-          e.msg_begin = static_cast<uint32_t>(begin + i);
-          e.msg_count = 1;
-          e.wire_bytes =
-              KeyWireBytes(g.key_arity) + td.messages[begin + i].wire_bytes;
-          td.entries.push_back(e);
-        }
-      }
+      e.msg_count = static_cast<uint32_t>(td.messages.size() - e.msg_begin);
+      e.wire_bytes = KeyWireBytes(g.key_arity) + group_wire;
+      td.entries.push_back(e);
     }
   } else {
-    // Neither packing nor combining: singleton records in raw emission
-    // order; the emitter's message array already is that order.
+    // No packing: singleton records in raw emission order; the emitter's
+    // message array already is that order.
     td.messages = std::move(buffer.messages_);
     td.entries.reserve(td.messages.size());
     for (uint32_t mi = 0; mi < td.messages.size(); ++mi) {

@@ -5,10 +5,10 @@
 // Pipeline:
 //   1. AddTaskOutput adopts one map task's MapOutputBuffer — keys already
 //      flat-encoded, fingerprinted, and grouped in first-seen order by
-//      the emitter's open-addressing table (Gumbo §5.1 optimization (1):
-//      one key header per packed list on the wire) — lays each key group
-//      out contiguously, and applies the job's optional map-side combiner
-//      per key group (DESIGN.md §5.1) before any byte is accounted;
+//      the emitter's open-addressing table — and lays it out as packed
+//      key groups (Gumbo §5.1 optimization (1): one key header per packed
+//      list on the wire) or, without packing, as singleton records in raw
+//      emission order;
 //   2. Partition buckets every record by its cached fingerprint into
 //      reduce partitions and sorts each partition ONCE by key (stable, so
 //      records keep (map task, emission) order within equal keys); the
@@ -38,23 +38,19 @@
 #include "common/result.h"
 #include "common/scheduler.h"
 #include "common/tuple.h"
-#include "mr/job.h"
 #include "mr/map_output.h"
 #include "mr/message.h"
 #include "mr/stats.h"
 
 namespace gumbo::mr {
 
-/// Wire-level accounting of one map task's shuffle output. All figures
-/// are post-combine: the combiner (DESIGN.md §5.1) runs before anything
-/// is counted, so JobStats::shuffle_mb is the single source of truth for
-/// what actually crosses the wire.
+/// Wire-level accounting of one map task's shuffle output: exactly what
+/// crosses the wire, so JobStats::shuffle_mb is the single source of
+/// truth for shuffle volume.
 struct ShuffleTaskIo {
   double wire_bytes = 0.0;  ///< total key + value bytes the task emits
   size_t records = 0;       ///< materialized records (after packing)
-  size_t messages = 0;      ///< shuffled values (after combining)
-  size_t combined_messages = 0;  ///< values removed by the combiner
-  double combined_bytes = 0.0;   ///< wire bytes the combiner removed
+  size_t messages = 0;      ///< shuffled values
   uint64_t fingerprint_collisions = 0;  ///< distinct keys, equal fingerprint
 };
 
@@ -120,15 +116,12 @@ class Shuffle {
                           double wire_bytes, const ImportMessage* msgs,
                           size_t msg_count);
 
-  /// Adopts one map task's emission buffer. `combiner` (may be null) is
-  /// applied to every key group before accounting (DESIGN.md §5.1);
-  /// without packing, surviving values are re-materialized as singleton
-  /// records, each paying its own key header. Safe to call concurrently
-  /// for distinct `task` indices. Errors (out-of-range task, double
-  /// ingestion, a combiner dropping a whole key group) surface as
-  /// Status::Internal in Release builds too.
-  Result<ShuffleTaskIo> AddTaskOutput(size_t task, MapOutputBuffer buffer,
-                                      Combiner* combiner = nullptr);
+  /// Adopts one map task's emission buffer. With packing, each key group
+  /// becomes one record; without it, every message is a singleton record
+  /// paying its own key header. Safe to call concurrently for distinct
+  /// `task` indices. Errors (out-of-range task, double ingestion) surface
+  /// as Status::Internal in Release builds too.
+  Result<ShuffleTaskIo> AddTaskOutput(size_t task, MapOutputBuffer buffer);
 
   /// Hash-partitions every ingested record by fingerprint into
   /// `num_partitions` reduce partitions and sorts each partition's index

@@ -37,22 +37,24 @@ struct InputStats {
 struct JobCounters {
   double hdfs_read_mb = 0.0;
   /// Communication: mapper -> reducer bytes, measured once on the map
-  /// side of the shuffle, after combining (DESIGN.md §5.1). This is the
-  /// single source of truth for shuffle volume: the reduce-side partition
-  /// totals are reconciled against it, never re-measured
-  /// (tests/runtime_test.cc).
+  /// side of the shuffle. This is the single source of truth for shuffle
+  /// volume: the reduce-side partition totals are reconciled against it,
+  /// never re-measured (tests/runtime_test.cc).
   double shuffle_mb = 0.0;
   double hdfs_write_mb = 0.0;
 
   // ---- Shuffle-volume optimization counters (DESIGN.md §5) ----
   uint64_t shuffle_records = 0;   ///< materialized records (post-packing)
-  uint64_t shuffle_messages = 0;  ///< shuffled values (post-combine)
+  uint64_t shuffle_messages = 0;  ///< shuffled values
   /// Distinct keys whose 64-bit fingerprints collided in the map-side
   /// grouping table (DESIGN.md §3); resolved by full-key compares, so
   /// purely diagnostic for hash quality.
   uint64_t fingerprint_collisions = 0;
-  uint64_t combined_messages = 0; ///< values removed by the combiner
-  double combined_mb = 0.0;       ///< intermediate MB the combiner removed
+  /// Always 0: map-side combiners were removed (DESIGN.md §5.1). Kept
+  /// because the repository benchmark reads `combined_messages` by name,
+  /// and dropping `combined_mb` would change the kJobStats wire frame.
+  uint64_t combined_messages = 0;
+  double combined_mb = 0.0;
   uint64_t filtered_messages = 0; ///< emissions suppressed by Bloom filters
 
   // ---- Fault-tolerance counters (DESIGN.md §11) ----

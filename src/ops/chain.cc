@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "mr/combiner.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -182,9 +181,6 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
   spec.reducer_factory = [compiled] {
     return std::make_unique<ChainReducer>(compiled);
   };
-  if (options.combiners) {
-    spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
-  }
   if (options.bloom_filters) {
     // Filter 0: the conditional's projected join keys (input 1), used to
     // suppress requests on positive steps; filter 1: the input guard
@@ -217,8 +213,7 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
 Result<mr::JobSpec> BuildUnionProjectJob(
     const std::vector<std::string>& chain_outputs, const sgf::Atom& guard,
     const std::vector<std::string>& select_vars,
-    const std::string& output_dataset, const OpOptions& options,
-    const std::string& job_name) {
+    const std::string& output_dataset, const std::string& job_name) {
   if (chain_outputs.empty()) {
     return Status::InvalidArgument("union: no inputs");
   }
@@ -238,11 +233,6 @@ Result<mr::JobSpec> BuildUnionProjectJob(
     return std::make_unique<UnionMapper>(compiled);
   };
   spec.reducer_factory = [] { return std::make_unique<UnionReducer>(); };
-  // The union reducer only tests key existence, so per-task duplicate
-  // markers combine away entirely (DESIGN.md §5.1).
-  if (options.combiners) {
-    spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
-  }
   return spec;
 }
 

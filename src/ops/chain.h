@@ -44,24 +44,20 @@ struct ChainStepSpec {
 };
 
 /// Builds the MR job for one chain step. `options` controls the
-/// shuffle-volume optimizations (DESIGN.md §5): the dedup combiner always
-/// applies; Bloom-filtered requests apply to *positive* steps only — an
-/// anti-join keeps exactly the guard tuples with no conditional match, so
-/// dropping filter-negative requests would invert its output
-/// (docs/operators.md, "Filter rules").
+/// shuffle-volume optimizations (DESIGN.md §5): Bloom-filtered requests
+/// apply to *positive* steps only — an anti-join keeps exactly the guard
+/// tuples with no conditional match, so dropping filter-negative requests
+/// would invert its output (docs/operators.md, "Filter rules").
 Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
                                       const OpOptions& options,
                                       const std::string& job_name);
 
 /// Builds the union+projection job: reads the final dataset of each chain
 /// (full guard tuples), projects onto `select_vars` of `guard`, dedupes.
-/// The dedup combiner (DESIGN.md §5.1) collapses the per-key union
-/// markers to one per map task.
 Result<mr::JobSpec> BuildUnionProjectJob(
     const std::vector<std::string>& chain_outputs, const sgf::Atom& guard,
     const std::vector<std::string>& select_vars,
-    const std::string& output_dataset, const OpOptions& options,
-    const std::string& job_name);
+    const std::string& output_dataset, const std::string& job_name);
 
 }  // namespace gumbo::ops
 

@@ -3,7 +3,6 @@
 #include <memory>
 #include <set>
 
-#include "mr/combiner.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -189,13 +188,9 @@ Result<mr::JobSpec> BuildEvalJob(const std::vector<EvalTask>& tasks,
   spec.reducer_factory = [compiled] {
     return std::make_unique<EvalReducer>(compiled);
   };
-  // Dedup combiner only (DESIGN.md §5.1): EVAL's X-membership and guard
-  // messages are set-semantic, but requests are never Bloom-filtered here
-  // — a guard fact can produce output even when every X_i misses (e.g. a
-  // fully negated condition), so no emission is provably droppable.
-  if (options.combiners) {
-    spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
-  }
+  // No Bloom filters here: a guard fact can produce output even when
+  // every X_i misses (e.g. a fully negated condition), so no emission is
+  // provably droppable.
   return spec;
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <set>
 
-#include "mr/combiner.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -280,11 +279,6 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
   spec.reducer_factory = [compiled] {
     return std::make_unique<MsjReducer>(compiled);
   };
-  // Map-side dedup combiner (DESIGN.md §5.1): collapses identical Asserts
-  // emitted for one key by different facts of the same map task.
-  if (options.combiners) {
-    spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
-  }
   // Two-sided Bloom filters per condition id (DESIGN.md §5.2), built by
   // the engine from the resolved inputs: filters [0, C) hold conditional
   // join keys (suppress Requests whose key cannot be asserted), filters

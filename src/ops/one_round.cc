@@ -5,7 +5,6 @@
 #include <memory>
 #include <set>
 
-#include "mr/combiner.h"
 #include "ops/messages.h"
 
 namespace gumbo::ops {
@@ -416,9 +415,6 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
   spec.reducer_factory = [compiled] {
     return std::make_unique<OneRoundReducer>(compiled);
   };
-  if (options.combiners) {
-    spec.combiner_factory = [] { return std::make_unique<mr::DedupCombiner>(); };
-  }
   compiled->filter_fpp = options.filter_fpp;
   if (options.bloom_filters && compiled->num_filters > 0) {
     spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)

@@ -6,7 +6,6 @@ namespace gumbo::ops {
 
 OpOptions ApplyEnvOverrides(OpOptions options) {
   const common::RuntimeConfig& cfg = common::RuntimeConfig::Get();
-  if (cfg.disable_combiners.value_or(false)) options.combiners = false;
   if (cfg.disable_filters.value_or(false)) options.bloom_filters = false;
   return options;
 }

@@ -14,10 +14,6 @@ struct OpOptions {
   bool tuple_id_refs = true;
   /// Gumbo §5.1 optimization (1): message packing.
   bool pack_messages = true;
-  /// Map-side set-semantics dedup combiner (DESIGN.md §5.1): collapse
-  /// identical (tag, aux, payload) messages per key within one map task.
-  /// Legal for every gumbo operator (docs/operators.md).
-  bool combiners = true;
   /// Bloom-filtered semi-join requests (DESIGN.md §5.2): guard tuples
   /// whose join key provably has no conditional match never emit a
   /// Request. Per-operator eligibility rules in docs/operators.md.
@@ -29,12 +25,11 @@ struct OpOptions {
   double filter_fpp = 0.05;
 };
 
-/// Applies the GUMBO_DISABLE_COMBINERS / GUMBO_DISABLE_FILTERS
-/// environment overrides (any non-empty value other than "0" disables
-/// the corresponding optimization). The environment wins over
-/// programmatic settings so CI and benches can force an ablation without
-/// code changes (DESIGN.md §5.4); plan::Planner applies this to every
-/// plan it builds.
+/// Applies the GUMBO_DISABLE_FILTERS environment override (any non-empty
+/// value other than "0" disables Bloom filters). The environment wins
+/// over programmatic settings so CI and benches can force an ablation
+/// without code changes (DESIGN.md §5.4); plan::Planner applies this to
+/// every plan it builds.
 OpOptions ApplyEnvOverrides(OpOptions options);
 
 }  // namespace gumbo::ops

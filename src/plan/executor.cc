@@ -128,28 +128,6 @@ void CalibrateFromExecution(const QueryPlan& plan,
       store->Observe(cost::Channel::kOutputBound, rec.bound_regime,
                      rec.output_mb, js.hdfs_write_mb);
     }
-    // Yields are meaningful only when the knob was actually on for this
-    // job — otherwise a zero yield would just record the knob's absence.
-    if (j < plan.program.size()) {
-      const mr::JobSpec& spec = plan.program.job(j);
-      const double shuffled = static_cast<double>(js.shuffle_messages);
-      if (spec.combiner_factory) {
-        const double combined = static_cast<double>(js.combined_messages);
-        if (shuffled + combined > 0.0) {
-          store->Observe(cost::Channel::kCombinerYield, rec.bound_regime, 1.0,
-                         combined / (shuffled + combined));
-        }
-      }
-      if (spec.filter_builder) {
-        const double filtered = static_cast<double>(js.filtered_messages);
-        const double emitted =
-            shuffled + static_cast<double>(js.combined_messages) + filtered;
-        if (emitted > 0.0) {
-          store->Observe(cost::Channel::kFilterYield, rec.bound_regime, 1.0,
-                         filtered / emitted);
-        }
-      }
-    }
   }
 }
 

@@ -114,13 +114,11 @@ Result<ExecutionResult> ExecuteAndVerify(const sgf::SgfQuery& query,
                                          mr::Engine* engine, Database* db);
 
 /// Closes the calibration loop (DESIGN.md §10): matches the observed
-/// per-input (N_i, M_i), per-job output sizes, and combiner/filter yields
-/// of an executed program against the estimates the planner recorded in
-/// `plan.job_estimates`, and feeds each observed/estimated pair into
-/// `store`. Jobs and inputs are matched positionally (ProgramStats::jobs
-/// is indexed by program job id) with dataset-name sanity checks; yield
-/// observations are recorded only for jobs whose spec actually enabled
-/// the corresponding knob. Thread-safe via the store.
+/// per-input (N_i, M_i) and per-job output sizes of an executed program
+/// against the estimates the planner recorded in `plan.job_estimates`,
+/// and feeds each observed/estimated pair into `store`. Jobs and inputs
+/// are matched positionally (ProgramStats::jobs is indexed by program
+/// job id) with dataset-name sanity checks. Thread-safe via the store.
 void CalibrateFromExecution(const QueryPlan& plan,
                             const mr::ProgramStats& stats,
                             cost::CalibrationStore* store);

@@ -347,8 +347,8 @@ Status PlanBatchSeq(const std::vector<size_t>& batch,
       GUMBO_ASSIGN_OR_RETURN(
           mr::JobSpec spec,
           ops::BuildUnionProjectJob(chain_outputs, q.guard(), q.select_vars(),
-                               q.output(), ctx->options->op,
-                               JobLabel("UNION", {q.output()})));
+                                    q.output(),
+                                    JobLabel("UNION", {q.output()})));
       size_t id = ctx->plan.program.AddJob(std::move(spec), chain_last_jobs);
       ctx->Describe(ctx->plan.program.job(id).name);
       batch_jobs->push_back(id);
@@ -619,24 +619,6 @@ cost::SkewRegime QueryRegime(const sgf::SgfQuery& query, const Database& db) {
     if (r > regime) regime = r;
   }
   return regime;
-}
-
-ops::OpOptions TuneOpOptions(const ops::OpOptions& base,
-                             cost::SkewRegime regime,
-                             const cost::CalibrationStore& store,
-                             double min_yield) {
-  ops::OpOptions tuned = base;
-  if (tuned.combiners &&
-      store.Observations(cost::Channel::kCombinerYield, regime) > 0 &&
-      store.Factor(cost::Channel::kCombinerYield, regime) < min_yield) {
-    tuned.combiners = false;
-  }
-  if (tuned.bloom_filters &&
-      store.Observations(cost::Channel::kFilterYield, regime) > 0 &&
-      store.Factor(cost::Channel::kFilterYield, regime) < min_yield) {
-    tuned.bloom_filters = false;
-  }
-  return tuned;
 }
 
 Result<StrategyChoice> ChoosePlan(const sgf::SgfQuery& query,

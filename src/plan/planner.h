@@ -112,16 +112,6 @@ class Planner {
 /// regime among the base guard relations it reads.
 cost::SkewRegime QueryRegime(const sgf::SgfQuery& query, const Database& db);
 
-/// Per-regime combiner/filter knob tuning from observed yields: a knob is
-/// switched off when the store has seen this regime deliver a negligible
-/// yield (< `min_yield` of messages combined away / suppressed), and left
-/// at its `base` setting otherwise — including when the store has no
-/// observations for the regime yet.
-ops::OpOptions TuneOpOptions(const ops::OpOptions& base,
-                             cost::SkewRegime regime,
-                             const cost::CalibrationStore& store,
-                             double min_yield = 0.02);
-
 /// One candidate strategy's estimated outcome (ChoosePlan).
 struct StrategyCost {
   Strategy strategy = Strategy::kGreedy;

@@ -191,7 +191,7 @@ GeneratedQuery QueryGenerator::Generate(uint64_t seed) const {
     case QueryShape::kAntiJoinHeavy: {
       // Mostly negated atoms under AND: anti-join requests cannot be
       // Bloom-filtered (only asserts are), so this shape stresses the
-      // filter/combiner accounting as well as NOT-semantics.
+      // filter accounting as well as NOT-semantics.
       const size_t natoms = 3 + b.rng.Uniform(4);
       b.AddSubquery("Z", "G", gvars, b.RandomSelect(gvars), natoms,
                     /*p_not=*/0.8, /*p_and=*/0.85);

@@ -299,7 +299,7 @@ TEST(CalibrationTest, SerializeRoundTripsEveryCell) {
   store.Observe(Channel::kSampledOutput, SkewRegime::kUniform, 2.0, 1.0);
   store.Observe(Channel::kCatalogInput, SkewRegime::kModerate, 1.0, 0.25);
   store.Observe(Channel::kOutputBound, SkewRegime::kHeavy, 10.0, 0.5);
-  store.Observe(Channel::kCombinerYield, SkewRegime::kHeavy, 1.0, 0.7);
+  store.Observe(Channel::kCatalogOutput, SkewRegime::kHeavy, 1.0, 0.7);
 
   CalibrationStore loaded;
   ASSERT_OK(loaded.Deserialize(store.Serialize()));
@@ -316,6 +316,51 @@ TEST(CalibrationTest, SerializeRoundTripsEveryCell) {
       "gumbo-calibration v1\nfuture-field 12\ncell catalog-input moderate 1 "
       "-1.0\n"));
   EXPECT_FALSE(loaded.Deserialize("not a calibration file").ok());
+
+  // A file saved while the combiner- and filter-yield channels existed
+  // still loads: their cells are dropped, the rest kept.
+  CalibrationStore old;
+  ASSERT_OK(old.Deserialize(
+      "gumbo-calibration v1\n"
+      "cell output-bound heavy 3 -2.0794415416798357\n"
+      "cell combiner-yield heavy 5 -3.5\n"
+      "cell filter-yield uniform 7 -1.25\n"));
+  EXPECT_EQ(old.Observations(Channel::kOutputBound, SkewRegime::kHeavy), 3u);
+  EXPECT_NEAR(old.Factor(Channel::kOutputBound, SkewRegime::kHeavy),
+              std::exp(-2.0794415416798357 / 3.0), 1e-12);
+  EXPECT_EQ(old.TotalObservations(), 3u);
+}
+
+TEST(CalibrationTest, DeserializeRejectsCellsSaveCannotWrite) {
+  // Observe clamps every ratio to [1/64, 64], so Save never writes a
+  // cell whose |log_sum| exceeds count * ln 64, nor a count of 0.
+  CalibrationStore saved;
+  for (int i = 0; i < 3; ++i) {
+    saved.Observe(Channel::kOutputBound, SkewRegime::kHeavy, 1.0, 1e12);
+    saved.Observe(Channel::kSampledOutput, SkewRegime::kUniform, 1.0, 0.0);
+  }
+  CalibrationStore store;
+  ASSERT_OK(store.Deserialize(saved.Serialize()));
+  EXPECT_DOUBLE_EQ(store.Factor(Channel::kOutputBound, SkewRegime::kHeavy),
+                   64.0);
+  const std::string before = store.Serialize();
+
+  for (const char* cell : {
+           "cell output-bound heavy 0 5.0",   // count 0
+           "cell output-bound heavy 0 0",     // count 0, zero sum
+           "cell output-bound heavy -1 0.5",  // would wrap to 2^64 - 1
+           "cell output-bound heavy 1 4.2",   // > ln 64
+           "cell output-bound heavy 2 -8.4",  // < -2 ln 64
+           "cell output-bound heavy 1x 0.5",  // trailing garbage
+       }) {
+    const Status s =
+        store.Deserialize(std::string("gumbo-calibration v1\n") + cell + "\n");
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << cell;
+    // The rejected text left the earlier contents intact.
+    EXPECT_EQ(store.Serialize(), before) << cell;
+  }
+  EXPECT_EQ(store.Observations(Channel::kOutputBound, SkewRegime::kHeavy), 3u);
+  EXPECT_EQ(store.TotalObservations(), 6u);
 }
 
 // ---- Estimator sampling accuracy per skew regime -----------------------------

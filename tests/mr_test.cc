@@ -1,6 +1,6 @@
 // Tests for the simulated MapReduce engine and the program scheduler,
 // plus the shuffle-volume optimization primitives (DESIGN.md §5): Bloom
-// filters, the dedup combiner, and their engine accounting.
+// filters and their engine accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "mr/combiner.h"
 #include "mr/engine.h"
 #include "mr/filter.h"
 #include "mr/program.h"
@@ -322,85 +321,7 @@ TEST(BloomFilterTest, SizeScalesWithKeysAndFpp) {
   EXPECT_LT(sloppy.SizeBytes(), big.SizeBytes());
 }
 
-// ---- Dedup combiner (DESIGN.md §5.1) ----------------------------------------
-
-// Builds a flat message; payloads beyond the inline capacity spill into
-// `arena`, mirroring what MapOutputBuffer does.
-Message Msg(uint32_t tag, uint32_t aux, const Tuple& payload,
-            std::vector<uint64_t>* arena, double wire = 3.0) {
-  Message m;
-  m.tag = tag;
-  m.aux = aux;
-  m.wire_bytes = wire;
-  m.payload_size = payload.size();
-  if (payload.size() <= Message::kInlinePayloadValues) {
-    uint32_t i = 0;
-    for (const Value& v : payload) m.inline_payload[i++] = v.raw();
-  } else {
-    m.payload_pos = static_cast<uint32_t>(payload.EncodeTo(arena));
-  }
-  return m;
-}
-
-TEST(DedupCombinerTest, RemovesDuplicatesKeepsFirstOccurrenceOrder) {
-  DedupCombiner combiner;
-  std::vector<uint64_t> arena;
-  std::vector<Message> values;
-  values.push_back(Msg(2, 0, Tuple{}, &arena));
-  values.push_back(Msg(1, 0, Tuple::Ints({7}), &arena));
-  values.push_back(Msg(2, 0, Tuple{}, &arena));  // duplicate of [0]
-  values.push_back(Msg(2, 1, Tuple{}, &arena));  // distinct aux
-  values.push_back(Msg(1, 0, Tuple::Ints({8}), &arena));  // distinct payload
-  values.push_back(Msg(1, 0, Tuple::Ints({7}), &arena));  // duplicate of [1]
-  std::vector<uint64_t> key_words;
-  Tuple::Ints({1}).EncodeTo(&key_words);
-  const size_t kept =
-      combiner.Combine(key_words.data(), 1, values.data(), values.size(),
-                       arena.data());
-  ASSERT_EQ(kept, 4u);
-  EXPECT_EQ(values[0].tag, 2u);
-  EXPECT_EQ(MessageRef(&values[1], arena.data()).PayloadTuple(),
-            Tuple::Ints({7}));
-  EXPECT_EQ(values[2].aux, 1u);
-  EXPECT_EQ(MessageRef(&values[3], arena.data()).PayloadTuple(),
-            Tuple::Ints({8}));
-}
-
-TEST(DedupCombinerTest, SpilledPayloadsCompareByWords) {
-  DedupCombiner combiner;
-  std::vector<uint64_t> arena;
-  std::vector<Message> values;
-  // Arity 5 > kInlinePayloadValues: payloads live in the arena.
-  Tuple big1 = Tuple::Ints({1, 2, 3, 4, 5});
-  Tuple big2 = Tuple::Ints({1, 2, 3, 4, 6});
-  values.push_back(Msg(1, 0, big1, &arena));
-  values.push_back(Msg(1, 0, big2, &arena));  // distinct
-  values.push_back(Msg(1, 0, big1, &arena));  // duplicate of [0]
-  std::vector<uint64_t> key_words;
-  Tuple::Ints({9}).EncodeTo(&key_words);
-  const size_t kept = combiner.Combine(key_words.data(), 1, values.data(),
-                                       values.size(), arena.data());
-  ASSERT_EQ(kept, 2u);
-  EXPECT_EQ(MessageRef(&values[0], arena.data()).PayloadTuple(), big1);
-  EXPECT_EQ(MessageRef(&values[1], arena.data()).PayloadTuple(), big2);
-}
-
-// ---- Engine accounting of combiners and filters -----------------------------
-
-// A mapper that emits `copies` identical messages per fact, keyed by the
-// first attribute.
-class DupMapper : public Mapper {
- public:
-  explicit DupMapper(int copies) : copies_(copies) {}
-  void Map(size_t, RowView fact, uint64_t, Emitter* emitter) override {
-    for (int i = 0; i < copies_; ++i) {
-      emitter->Emit(Tuple{fact[0]}, /*tag=*/1, /*aux=*/0, /*wire_bytes=*/4.0);
-    }
-  }
-
- private:
-  int copies_;
-};
+// ---- Engine accounting of filters -------------------------------------------
 
 class KeyCountReducer : public Reducer {
  public:
@@ -412,60 +333,6 @@ class KeyCountReducer : public Reducer {
     emitter->Emit(0, out);
   }
 };
-
-JobSpec DupJob(const std::string& in, const std::string& out, bool combine) {
-  JobSpec spec;
-  spec.name = "dup";
-  spec.inputs.push_back({in});
-  JobOutput o;
-  o.dataset = out;
-  o.arity = 2;
-  spec.outputs.push_back(o);
-  spec.mapper_factory = [] { return std::make_unique<DupMapper>(3); };
-  spec.reducer_factory = [] { return std::make_unique<KeyCountReducer>(); };
-  if (combine) {
-    spec.combiner_factory = [] { return std::make_unique<DedupCombiner>(); };
-  }
-  return spec;
-}
-
-TEST(EngineTest, CombinerShrinksShuffleAndIsAccounted) {
-  Database db;
-  Relation r("In", 1);
-  for (int64_t i = 0; i < 200; ++i) ASSERT_OK(r.Add(Tuple::Ints({i % 20})));
-  db.Put(std::move(r));
-  Engine engine(SmallCluster());
-  auto with = engine.Run(DupJob("In", "OutC", true), &db);
-  auto without = engine.Run(DupJob("In", "OutN", false), &db);
-  ASSERT_OK(with);
-  ASSERT_OK(without);
-  // Identical result *sets* (the combiner can change the reducer count,
-  // which permutes raw output order; canonical query outputs are sorted
-  // downstream), smaller shuffle, exact message conservation.
-  EXPECT_TRUE(db.Get("OutC").value()->SetEquals(*db.Get("OutN").value()));
-  EXPECT_LT(with->shuffle_mb, without->shuffle_mb);
-  EXPECT_GT(with->combined_messages, 0u);
-  EXPECT_GT(with->combined_mb, 0.0);
-  EXPECT_EQ(with->shuffle_messages + with->combined_messages,
-            without->shuffle_messages);
-  EXPECT_EQ(without->combined_messages, 0u);
-  // The dedup never crosses reduce keys: every key still arrives.
-  EXPECT_EQ(db.Get("OutC").value()->size(), 20u);
-}
-
-TEST(EngineTest, CombinerWithoutPackingStillDedupes) {
-  Database db;
-  Relation r("In", 1);
-  for (int64_t i = 0; i < 60; ++i) ASSERT_OK(r.Add(Tuple::Ints({i % 6})));
-  db.Put(std::move(r));
-  Engine engine(SmallCluster());
-  JobSpec spec = DupJob("In", "Out", true);
-  spec.pack_messages = false;
-  auto stats = engine.Run(spec, &db);
-  ASSERT_OK(stats);
-  EXPECT_GT(stats->combined_messages, 0u);
-  EXPECT_EQ(db.Get("Out").value()->size(), 6u);
-}
 
 // A mapper that consults filter 0 before emitting (like the ops mappers).
 class FilteringMapper : public Mapper {

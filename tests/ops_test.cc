@@ -437,10 +437,8 @@ TEST(MsjEvalTest, FiltersSuppressTrafficWithoutChangingResults) {
   Database db = IntroDb();
   OpOptions on;
   on.bloom_filters = true;
-  on.combiners = true;
   OpOptions off;
   off.bloom_filters = false;
-  off.combiners = false;
   ExpectMatchesNaive(q, db, on);
   ExpectMatchesNaive(q, db, off);
 }
@@ -450,7 +448,7 @@ TEST(ChainTest, UnionProjectDedupes) {
   db.Put(MakeRelation("C1", 2, {{1, 2}, {3, 4}}));
   db.Put(MakeRelation("C2", 2, {{3, 4}, {5, 6}}));
   auto job = BuildUnionProjectJob({"C1", "C2"}, sgf::Atom::Vars("R", {"x", "y"}),
-                                  {"x"}, "Z", OpOptions{}, "union");
+                                  {"x"}, "Z", "union");
   ASSERT_OK(job);
   mr::Engine engine(TestCluster());
   ASSERT_OK(engine.Run(*job, &db).status());

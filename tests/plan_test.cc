@@ -702,31 +702,6 @@ TEST(CalibrationPlanTest, QueryRegimeFollowsTheGuard) {
   EXPECT_EQ(QueryRegime(query, heavy), cost::SkewRegime::kHeavy);
 }
 
-TEST(CalibrationPlanTest, TuneOpOptionsDisablesLowYieldKnobs) {
-  cost::CalibrationStore store;
-  ops::OpOptions base;
-  base.combiners = true;
-  base.bloom_filters = true;
-  // No observations: base passes through untouched.
-  ops::OpOptions same =
-      TuneOpOptions(base, cost::SkewRegime::kHeavy, store);
-  EXPECT_TRUE(same.combiners);
-  EXPECT_TRUE(same.bloom_filters);
-  // Observed negligible combiner yield in the heavy regime -> knob off
-  // there, untouched elsewhere.
-  store.Observe(cost::Channel::kCombinerYield, cost::SkewRegime::kHeavy, 1.0,
-                0.001);
-  store.Observe(cost::Channel::kFilterYield, cost::SkewRegime::kHeavy, 1.0,
-                0.5);
-  ops::OpOptions tuned =
-      TuneOpOptions(base, cost::SkewRegime::kHeavy, store);
-  EXPECT_FALSE(tuned.combiners);
-  EXPECT_TRUE(tuned.bloom_filters);
-  ops::OpOptions uniform =
-      TuneOpOptions(base, cost::SkewRegime::kUniform, store);
-  EXPECT_TRUE(uniform.combiners);
-}
-
 TEST(CalibrationPlanTest, CalibrateFromExecutionFillsTheStore) {
   const sgf::SgfQuery query = ParseSgfOrDie(kSkewQuery);
   const Database db = SkewDb(1.2, true);

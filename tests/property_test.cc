@@ -9,8 +9,8 @@
 //    and always contains the all-singletons sort;
 //  * Greedy-BSGF grouping cost never beats the brute-force optimum;
 //  * shuffle-volume optimizations (DESIGN.md §5): over random BSGF
-//    queries, results are byte-identical with combiners/Bloom filters on
-//    vs. off, and the optimized run never shuffles more records.
+//    queries, results are byte-identical with Bloom filters on vs. off,
+//    and the filtered run never shuffles more records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -399,7 +399,6 @@ TEST_P(OptimizationEquivalenceTest, ByteIdenticalResultsAndNoExtraShuffle) {
       plan::PlannerOptions opts;
       opts.strategy = strategy;
       opts.sample_size = 32;
-      opts.op.combiners = optimized;
       opts.op.bloom_filters = optimized;
       plan::Planner planner(config, opts);
       mr::Engine engine(config);
@@ -425,7 +424,9 @@ TEST_P(OptimizationEquivalenceTest, ByteIdenticalResultsAndNoExtraShuffle) {
     EXPECT_LE(on.metrics.shuffle_messages, off.metrics.shuffle_messages)
         << text;
     EXPECT_LE(on.metrics.shuffle_mb, off.metrics.shuffle_mb + 1e-9) << text;
-    // Nothing is dropped or combined when the knobs are off.
+    // Nothing is dropped when filters are off, and nothing is ever
+    // combined: map-side combiners are gone (DESIGN.md §5.1).
+    EXPECT_EQ(on.metrics.combined_messages, 0u);
     EXPECT_EQ(off.metrics.combined_messages, 0u);
     EXPECT_EQ(off.metrics.filtered_messages, 0u);
     EXPECT_EQ(off.metrics.filter_broadcast_mb, 0.0);

@@ -241,26 +241,20 @@ TEST(RuntimeTest, ByteIdenticalAcrossPoolSizes) {
 }
 
 // The flat shuffle representation (DESIGN.md §3) must stay byte-identical
-// across pool sizes under every packing/combining mode — each mode takes
-// a different path through AddTaskOutput (grouped, grouped-then-exploded,
-// raw emission order).
+// across pool sizes under both packing modes — each takes its own path
+// through AddTaskOutput (grouped, raw emission order).
 TEST(RuntimeTest, ByteIdenticalAcrossPoolSizesForAllShuffleModes) {
   auto w = data::MakeA(1, SmallData());
   ASSERT_OK(w);
   for (bool pack : {true, false}) {
-    for (bool combine : {true, false}) {
-      ops::OpOptions op;
-      op.pack_messages = pack;
-      op.combiners = combine;
-      RunOutput one = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
-      RunOutput eight = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op);
-      EXPECT_EQ(one.outputs, eight.outputs)
-          << "pack=" << pack << " combine=" << combine;
-      EXPECT_EQ(one.metrics.communication_mb, eight.metrics.communication_mb)
-          << "pack=" << pack << " combine=" << combine;
-      EXPECT_EQ(one.metrics.net_time, eight.metrics.net_time)
-          << "pack=" << pack << " combine=" << combine;
-    }
+    ops::OpOptions op;
+    op.pack_messages = pack;
+    RunOutput one = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
+    RunOutput eight = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op);
+    EXPECT_EQ(one.outputs, eight.outputs) << "pack=" << pack;
+    EXPECT_EQ(one.metrics.communication_mb, eight.metrics.communication_mb)
+        << "pack=" << pack;
+    EXPECT_EQ(one.metrics.net_time, eight.metrics.net_time) << "pack=" << pack;
   }
 }
 
@@ -294,36 +288,32 @@ TEST(RuntimeTest, ByteIdenticalWithTinyMorselsAcrossWorkerCounts) {
   }
 }
 
-// The packing/combining matrix again, this time on the tiny-morsel path:
-// per-task combining and packing happen inside a chain, so the wire
-// bytes must not depend on how finely the scan was chopped.
+// Both packing modes again, this time on the tiny-morsel path: per-task
+// packing happens inside a chain, so the wire bytes must not depend on
+// how finely the scan was chopped.
 TEST(RuntimeTest, ByteIdenticalWithTinyMorselsForAllShuffleModes) {
   auto w = data::MakeA(1, SmallData());
   ASSERT_OK(w);
   for (bool pack : {true, false}) {
-    for (bool combine : {true, false}) {
-      ops::OpOptions op;
-      op.pack_messages = pack;
-      op.combiners = combine;
-      RunOutput coarse = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
-      RunOutput tiny = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op,
-                                      /*morsel_rows=*/1);
-      EXPECT_EQ(coarse.outputs, tiny.outputs)
-          << "pack=" << pack << " combine=" << combine;
-      EXPECT_EQ(coarse.metrics.communication_mb, tiny.metrics.communication_mb)
-          << "pack=" << pack << " combine=" << combine;
-      EXPECT_EQ(coarse.metrics.net_time, tiny.metrics.net_time)
-          << "pack=" << pack << " combine=" << combine;
-    }
+    ops::OpOptions op;
+    op.pack_messages = pack;
+    RunOutput coarse = RunWithThreads(*w, plan::Strategy::kGreedy, 1, op);
+    RunOutput tiny = RunWithThreads(*w, plan::Strategy::kGreedy, 8, op,
+                                    /*morsel_rows=*/1);
+    EXPECT_EQ(coarse.outputs, tiny.outputs) << "pack=" << pack;
+    EXPECT_EQ(coarse.metrics.communication_mb, tiny.metrics.communication_mb)
+        << "pack=" << pack;
+    EXPECT_EQ(coarse.metrics.net_time, tiny.metrics.net_time)
+        << "pack=" << pack;
   }
 }
 
 // ---- Shuffle accounting: one source of truth --------------------------------
 
-// JobStats::shuffle_mb (measured once, map-side, post-combine) is the
-// single source of truth for shuffle volume; the query metrics sum the
-// same per-job figures. The views must agree exactly — nothing
-// re-measures shuffle bytes (the engine/runtime double-counting hazard).
+// JobStats::shuffle_mb (measured once, map-side) is the single source of
+// truth for shuffle volume; the query metrics sum the same per-job
+// figures. The views must agree exactly — nothing re-measures shuffle
+// bytes (the engine/runtime double-counting hazard).
 TEST(RuntimeTest, ShuffleBytesHaveOneSourceOfTruth) {
   auto w = data::MakeA(1, SmallData());
   ASSERT_OK(w);
