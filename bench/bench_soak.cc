@@ -8,6 +8,10 @@
 //   GUMBO_SOAK_SEED    — base seed (default 7); iteration i uses seed+i
 //   GUMBO_SOAK_ITERS   — (query, database) pairs to run (default 200)
 //   GUMBO_SOAK_TUPLES  — materialized tuples per relation (default 240)
+//   GUMBO_SOAK_MUTATE  — mutation mode: seeded inserts through the
+//                        service between runs (DESIGN.md §12); exits
+//                        nonzero if no response was delta-maintained
+//                        after an insert into a conditional relation
 //   GUMBO_FAULT_RATE   — chaos mode: per-(site, unit, attempt) fault
 //                        probability (default 0 = off); OK results must
 //                        stay byte-identical, failures must be typed
@@ -38,6 +42,12 @@ int main() {
   }
   if (config.chaos() && report.faults_injected == 0) {
     std::printf("chaos mode injected zero faults — configuration error\n");
+    return 1;
+  }
+  if (config.mutate && report.conditional_delta_hits == 0) {
+    std::printf(
+        "mutation mode delta-maintained no response after a conditional "
+        "insert — configuration error\n");
     return 1;
   }
   return 0;

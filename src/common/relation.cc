@@ -85,14 +85,15 @@ void Relation::Adopt(RelationBuilder&& b) {
   b.fingerprints_.clear();
 }
 
-Relation Relation::CloneRange(size_t from, size_t to) const {
-  assert(from <= to && to <= size());
+Relation Relation::CloneRows(const std::vector<bool>& keep) const {
+  assert(keep.size() == size());
   Relation out(name_, arity_);
-  out.words_.assign(words_.begin() + static_cast<std::ptrdiff_t>(from * arity_),
-                    words_.begin() + static_cast<std::ptrdiff_t>(to * arity_));
-  out.fingerprints_.assign(
-      fingerprints_.begin() + static_cast<std::ptrdiff_t>(from),
-      fingerprints_.begin() + static_cast<std::ptrdiff_t>(to));
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (!keep[i]) continue;
+    const auto row = words_.begin() + static_cast<std::ptrdiff_t>(i * arity_);
+    out.words_.insert(out.words_.end(), row, row + arity_);
+    out.fingerprints_.push_back(fingerprints_[i]);
+  }
   out.bytes_per_tuple_ = bytes_per_tuple_;
   out.representation_scale_ = representation_scale_;
   return out;

@@ -198,30 +198,12 @@ class Relation {
   };
   ViewRange views() const { return ViewRange(this); }
 
-  /// Zero-copy view of the arena tail [from, size()) — the delta a
-  /// consumer whose watermark is `from` rows has not seen (DESIGN.md §12).
-  /// Borrows the arenas; valid until the relation is mutated.
-  struct Slice {
-    const uint64_t* words = nullptr;
-    const uint64_t* fingerprints = nullptr;
-    size_t rows = 0;
-    uint32_t arity = 0;
-    RowView view(size_t i) const {
-      assert(i < rows);
-      return RowView(words + i * arity, arity, fingerprints[i]);
-    }
-  };
-  Slice TailSince(size_t from) const {
-    assert(from <= size());
-    return Slice{words_.data() + from * arity_, fingerprints_.data() + from,
-                 size() - from, arity_};
-  }
-
-  /// Materializes rows [from, to) as a Relation under the same name:
-  /// two bulk copies of words + stored fingerprints, never re-hashed.
-  /// Size-accounting knobs (bytes_per_tuple, representation_scale) carry
-  /// over so a delta slice accounts like its parent.
-  Relation CloneRange(size_t from, size_t to) const;
+  /// Materializes the rows whose `keep` bit is set (one bit per row), in
+  /// row order, under the same name: words + stored fingerprints copied,
+  /// never re-hashed. Size-accounting knobs (bytes_per_tuple,
+  /// representation_scale) carry over so a delta slice accounts like its
+  /// parent (DESIGN.md §12).
+  Relation CloneRows(const std::vector<bool>& keep) const;
 
   /// Bulk-appends every row of `other` (same arity required): words and
   /// stored fingerprints copied wholesale, no re-hash. The delta-union
@@ -326,8 +308,8 @@ class Relation {
 /// reshaped the arena). For insert-only bumps the post-mutation row count
 /// is recorded, so a consumer holding an older epoch can ask
 /// InsertOnlySince/RowsAtEpoch and view "rows added since my epoch" as a
-/// contiguous arena tail (Relation::TailSince) — the foundation of
-/// incremental delta evaluation (DESIGN.md §12). History is bounded;
+/// contiguous arena tail — the foundation of incremental delta
+/// evaluation (DESIGN.md §12). History is bounded;
 /// epochs that fall off resolve conservatively (as unknown -> callers
 /// fall back to full recomputation).
 ///

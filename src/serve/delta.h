@@ -1,20 +1,25 @@
 // Delta-evaluation eligibility and slice planning (DESIGN.md §12).
 //
-// A cached query result at epoch vector E_old can be *maintained* — not
-// recomputed — when every relation whose epoch moved (a) moved by pure
-// inserts with a retained watermark, and (b) occurs only in *guard*
-// position in the query (transitively: an output produced from a delta'd
-// guard is itself delta'd, so it too must avoid conditional position).
-// A BSGF subquery's output distributes over its guard rows —
-//   O = { pi(t) : t in Guard, C(t) } = O_old  UNION  f(DeltaGuard)
-// — so re-running the cached plan with each delta'd relation shadowed by
-// a slice of just its new rows yields exactly the new output rows, and
-// cached UNION delta, canonically deduped, is byte-identical to a
-// from-scratch run. Inserts into a conditional-position relation are NOT
-// delta-expressible this way (a positive conditional grows the output
-// without the guard changing; a negated one shrinks it), so they fall
-// back to full invalidation, as do all destructive mutations
-// (Put/Create/Erase/reshape).
+// A cached query result at epoch vector E_old can be *maintained*, not
+// recomputed, when every relation whose epoch moved grew by pure inserts
+// with a retained watermark and is read only positively (under an even
+// number of NOTs). A BSGF subquery with guard G then only gains rows:
+//   O_new = O_old  UNION  eval(S_G)
+// for any slice S_G of G_new that holds every new guard row and every old
+// guard row that newly qualifies. An old row newly qualifies only if some
+// positive atom `a` over a moved relation C turned true for it, so
+//   S_G = DeltaG  UNION  (G_new semi-join_a DeltaC), over every such atom
+// of the subqueries G guards, is enough. PlanDelta re-runs the cached plan
+// over a view in which each base guard is shadowed by its S_G (empty when
+// nothing those subqueries read moved: their outputs come out empty and
+// the cached value is the answer), while every relation read in
+// conditional position stays whole. The caller unions each dirty output
+// with its cached value and canonicalizes it.
+//
+// Fallbacks: destructive movement (Put/Create/Erase/reshape), an aged-out
+// watermark, a moved relation read under NOT (an insert can remove output
+// rows), and a relation the pass must read whole that would need a slice
+// (nested programs only) all force a full run.
 #ifndef GUMBO_SERVE_DELTA_H_
 #define GUMBO_SERVE_DELTA_H_
 
@@ -28,38 +33,38 @@
 
 namespace gumbo::serve {
 
-/// Why a cached result could not be delta-maintained (fallback matrix,
+/// Why a cached result could not be delta-maintained (fallback table,
 /// DESIGN.md §12).
 enum class DeltaFallback {
-  kNone,             ///< eligible — no fallback
-  kDestructive,      ///< a moved relation saw a non-insert mutation
-  kNoWatermark,      ///< insert-only, but the old epoch's row count aged out
-  kConditionalDelta, ///< a delta'd relation is read in conditional position
-  kMissingRelation,  ///< a moved name is not resolvable in the database
+  kNone,                ///< eligible — no fallback
+  kDestructive,         ///< a moved relation saw a non-insert mutation
+  kNoWatermark,         ///< insert-only, but the old epoch's row count aged out
+  kMissingRelation,     ///< a moved name is not resolvable in the database
+  kNegatedDelta,        ///< a moved relation sits under an odd number of NOTs
+  kNeedsWholeRelation,  ///< a relation the pass must read whole needs a slice
 };
-
-const char* DeltaFallbackName(DeltaFallback f);
 
 struct DeltaPlan {
   bool eligible = false;
   DeltaFallback fallback = DeltaFallback::kNone;
-  /// An overlay over `db` in which each insert-moved base relation is
-  /// shadowed by a materialized copy of exactly its delta rows
-  /// [watermark, size) under the same name — the base a cached plan
-  /// re-runs over (plan::ExecutePlanOnSnapshot). Borrows `db`.
+  /// An overlay over `db` in which every base guard the pass may slice is
+  /// shadowed, under its own name, by its slice S_G — the base a cached
+  /// plan re-runs over (plan::ExecutePlanOnSnapshot). Borrows `db`.
   Database view;
-  /// Names carrying delta (not full) contents in the re-run: the moved
-  /// base relations plus, transitively, every output produced from a
-  /// delta'd guard. Outputs in this set must be unioned with the cached
-  /// result; outputs outside it are recomputed in full.
+  /// Names whose pass contents are a slice, not the whole relation: the
+  /// shadowed base guards plus, transitively, the output of every
+  /// subquery guarded by one. A dirty output holds only rows the cached
+  /// value may lack, so the caller unions it with the cached value; an
+  /// output outside this set was recomputed in full by the pass.
   std::set<std::string> dirty;
-  uint64_t delta_rows = 0;  ///< total input delta rows across the slices
+  /// Rows inserted since the cached epochs, over every moved relation.
+  uint64_t delta_rows = 0;
 };
 
 /// Decides whether the epoch movement from `cached_epochs` to
 /// `current_epochs` (both parallel to `names`, the sorted
 /// PlanCache::EpochNamesOf order) is delta-maintainable for `query` over
-/// `db`, and builds the delta slices if so.
+/// `db`, and builds the guard slices if so.
 DeltaPlan PlanDelta(const sgf::SgfQuery& query, const Database& db,
                     const std::vector<std::string>& names,
                     const std::vector<uint64_t>& cached_epochs,

@@ -358,8 +358,9 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
 
   DeltaPlan dp = PlanDelta(task.query, *db_, names, entry->epochs, epochs);
   if (!dp.eligible) {
-    // Non-insert movement (or aged-out watermark, or delta in conditional
-    // position): the fallback matrix says invalidate and recompute.
+    // Non-insert movement, an aged-out watermark, an insert under NOT, or
+    // a slice the pass cannot take: the fallback table says invalidate
+    // and recompute.
     results_.Invalidate(key);
     return false;
   }
@@ -371,9 +372,9 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
   }
 
   // ---- Delta maintenance pass (DESIGN.md §12) ----
-  // Re-run the cached plan over the delta view, where each moved relation
-  // is shadowed by its delta slice: dirty subqueries produce exactly
-  // their new output rows.
+  // Re-run the cached plan over the delta view, where each base guard is
+  // shadowed by its slice: dirty subqueries produce every output row the
+  // cached value lacks (and possibly some it has).
   SchedGroupMetrics sched_metrics;
   const Clock::time_point delta_start = Clock::now();
   Database delta_out;
@@ -388,11 +389,12 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
     return true;
   }
 
-  // Union + canonicalize: a dirty output is cached ∪ delta, re-deduped —
-  // SortAndDedupe restores exactly the canonical order a from-scratch
-  // run emits, so the bytes (words AND fingerprints) are identical. A
-  // clean output was recomputed in full by the pass (its inputs were all
-  // unmoved), so it is already canonical and complete.
+  // Union + canonicalize: a dirty output is cached ∪ pass output,
+  // re-deduped — SortAndDedupe restores exactly the canonical order a
+  // from-scratch run emits, so the bytes (words AND fingerprints) are
+  // identical. An empty pass output (its guard slice was empty) leaves
+  // the cached value as it is. A clean output was recomputed in full by
+  // the pass over whole inputs, so it is already canonical and complete.
   for (const std::string& out : entry->plan->outputs) {
     Result<Relation*> got = delta_out.GetMutable(out);
     if (!got.ok()) {
@@ -401,8 +403,10 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
     }
     if (dp.dirty.count(out) > 0) {
       Relation merged = **entry->outputs->Get(out);
-      merged.AppendFrom(**got);
-      merged.SortAndDedupe();
+      if (!(*got)->empty()) {
+        merged.AppendFrom(**got);
+        merged.SortAndDedupe();
+      }
       resp->outputs.Put(std::move(merged));
     } else {
       resp->outputs.Put(std::move(**got));

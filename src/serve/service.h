@@ -25,11 +25,15 @@
 //       cache key -> materialized canonical outputs, validated against
 //       the same stats epochs. A repeat query over unchanged data is a
 //       *pure hit* (the stored outputs are the answer; no execution); a
-//       repeat over insert-only epoch movement is *delta-maintained*:
-//       the cached plan re-runs over just the delta slices
-//       (serve/delta.h) and the union refreshes the cache entry. Any
-//       other movement invalidates the entry (and the plan cache entry)
-//       exactly as before. GUMBO_DISABLE_DELTA=1 forces this layer off.
+//       repeat after inserts into relations it reads only positively,
+//       guard or conditional, is *delta-maintained*: the cached plan
+//       re-runs with each base guard shadowed by the slice of its rows
+//       that are new or newly qualify (serve/delta.h; empty when nothing
+//       its subqueries read moved), and cached ∪ pass output refreshes
+//       the cache entry. Any other movement (destructive writes, inserts
+//       under NOT, slices a nested program cannot take) invalidates the
+//       entry (and the plan cache entry) exactly as before.
+//       GUMBO_DISABLE_DELTA=1 forces this layer off.
 //
 // Every query executes against the same immutable base Database snapshot
 // through a private overlay (plan::ExecutePlanOnSnapshot), so results are

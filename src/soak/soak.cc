@@ -1,5 +1,6 @@
 #include "soak/soak.h"
 
+#include <set>
 #include <string>
 
 #include "common/config.h"
@@ -221,18 +222,21 @@ Outcome CheckServe(const sgf::SgfQuery& query, const Database& db,
 // iteration database, both caches on. A cold run populates the result
 // cache; then, per base relation in deterministic order, a small seeded
 // batch of AddFacts lands through the service's write API and the query
-// re-runs. Every post-mutation response must be byte-identical to a
-// from-scratch naive evaluation of the mutated database — whether the
-// service answered via a guard-delta maintenance pass, a pure result hit
-// (no epoch moved for this query's relations), or full fallback
-// re-execution (conditional-position insert). Cycling the insert target
-// through all base relations exercises all three regimes.
+// re-runs; a final batch inserts into every base relation before one
+// more run, so guards and conditionals move together and the pass's
+// guard slices are unions of semi-joins. Every post-mutation response
+// must be byte-identical to a from-scratch naive evaluation of the
+// mutated database — whether the service answered with a delta pass
+// (inserts into guards and positively read conditionals), a pure result
+// hit (no epoch moved for this query's relations), or a full run
+// (inserts under NOT, or a slice a nested program cannot take).
+// Responses delta-maintained after an insert into a conditional-position
+// relation are counted apart, so a soak can require that path to run.
 Outcome CheckMutation(const sgf::SgfQuery& query, const Database& base_db,
                       const std::map<std::string, uint32_t>& base,
                       const std::vector<std::string>& outputs, uint64_t seed,
                       size_t tuples, cost::CalibrationStore* store,
-                      uint64_t* delta_hits, uint64_t* result_hits,
-                      std::string* detail) {
+                      SoakReport* report, std::string* detail) {
   detail->clear();
   Database db = base_db;  // mutable copy; the iteration db stays pristine
   serve::ServiceOptions so;
@@ -252,33 +256,49 @@ Outcome CheckMutation(const sgf::SgfQuery& query, const Database& base_db,
       return Outcome::kFail;
     }
   }
+  std::set<std::string> conditional;
+  for (const sgf::BsgfQuery& q : query.subqueries()) {
+    for (const sgf::Atom& a : q.conditional_atoms()) {
+      conditional.insert(a.relation());
+    }
+  }
+  std::vector<std::map<std::string, uint32_t>> batches;
+  for (const auto& rel : base) batches.push_back({rel});
+  batches.push_back(base);
   Xoshiro256 rng(SplitMix64::Mix(seed ^ 0xde17aULL));
   // Same value domain the generators draw from, so inserted facts join
   // against existing rows often enough to actually change outputs.
   const uint64_t domain = tuples > 0 ? tuples : 1;
-  for (const auto& [name, arity] : base) {
-    constexpr int kFactsPerBatch = 3;
-    for (int f = 0; f < kFactsPerBatch; ++f) {
-      Tuple t;
-      for (uint32_t a = 0; a < arity; ++a) {
-        t.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(domain))));
-      }
-      const Status st = service.AddFact(name, t);
-      if (!st.ok()) {
-        *detail = "AddFact(" + name + ") failed: " + st.ToString();
-        return Outcome::kFail;
+  for (const std::map<std::string, uint32_t>& batch : batches) {
+    std::string names;
+    bool moved_conditional = false;
+    for (const auto& [name, arity] : batch) {
+      names += (names.empty() ? "" : ", ") + name;
+      moved_conditional |= conditional.count(name) > 0;
+      constexpr int kFactsPerBatch = 3;
+      for (int f = 0; f < kFactsPerBatch; ++f) {
+        Tuple t;
+        for (uint32_t a = 0; a < arity; ++a) {
+          t.PushBack(Value::Int(static_cast<int64_t>(rng.Uniform(domain))));
+        }
+        const Status st = service.AddFact(name, t);
+        if (!st.ok()) {
+          *detail = "AddFact(" + name + ") failed: " + st.ToString();
+          return Outcome::kFail;
+        }
       }
     }
     serve::Response resp = service.Run(query);
     if (!resp.ok()) {
-      *detail = "post-mutation run (after " + name +
+      *detail = "post-mutation run (after " + names +
                 " inserts) failed: " + resp.status.ToString();
       return Outcome::kFail;
     }
-    if (delta_hits != nullptr && resp.metrics.delta_applied) ++*delta_hits;
-    if (result_hits != nullptr && resp.metrics.result_cache_hit) {
-      ++*result_hits;
+    if (resp.metrics.delta_applied) {
+      ++report->delta_hits;
+      if (moved_conditional) ++report->conditional_delta_hits;
     }
+    if (resp.metrics.result_cache_hit) ++report->result_hits;
     // The service is quiescent between Run calls, so reading db here is
     // safe; NaiveEvalSgf recomputes the truth over the mutated state.
     Result<Database> expected = sgf::NaiveEvalSgf(query, db);
@@ -289,7 +309,7 @@ Outcome CheckMutation(const sgf::SgfQuery& query, const Database& base_db,
     }
     std::string diff = DiffOutputs(*expected, resp.outputs, outputs);
     if (!diff.empty()) {
-      *detail = "after inserts into " + name + ": " + diff;
+      *detail = "after inserts into " + names + ": " + diff;
       return Outcome::kFail;
     }
   }
@@ -458,7 +478,8 @@ std::string SoakReport::Summary() const {
   if (mutation_checks > 0) {
     s += "\nmutation: " + std::to_string(mutation_checks) +
          " post-write identity checks, " + std::to_string(delta_hits) +
-         " delta-maintained, " + std::to_string(result_hits) +
+         " delta-maintained (" + std::to_string(conditional_delta_hits) +
+         " after conditional inserts), " + std::to_string(result_hits) +
          " result-cache hits";
   }
   for (const SoakFailure& f : failures) {
@@ -626,8 +647,8 @@ SoakReport RunSoak(const SoakConfig& config) {
     if (config.mutate) {
       const Outcome outcome = CheckMutation(
           generated.query, db, generated.base_relations, outputs, seed,
-          config.tuples, config.calibrate ? &store : nullptr,
-          &report.delta_hits, &report.result_hits, &detail);
+          config.tuples, config.calibrate ? &store : nullptr, &report,
+          &detail);
       ++report.mutation_checks;
       ++report.checks;
       if (outcome == Outcome::kFail) {

@@ -55,7 +55,8 @@ struct SoakConfig {
   bool serve_paths = true;
   /// Mutation mode (DESIGN.md §12): per iteration, run each query through
   /// one service over a *mutable* copy of the database, interleave seeded
-  /// AddFact batches through the service's write API, and require every
+  /// AddFact batches through the service's write API (one per base
+  /// relation, then one into all of them), and require every
   /// post-mutation response — delta-maintained, result-hit, or fallback
   /// re-execution — byte-identical to a from-scratch naive evaluation of
   /// the mutated database. Env: GUMBO_SOAK_MUTATE (non-zero enables).
@@ -118,6 +119,9 @@ struct SoakReport {
   // ---- Mutation-mode accounting (all zero when mutate == false) ----
   size_t mutation_checks = 0;  ///< post-mutation byte-identity checks
   uint64_t delta_hits = 0;     ///< responses answered by delta maintenance
+  /// delta_hits after a batch that inserted into a relation the query
+  /// reads in conditional position.
+  uint64_t conditional_delta_hits = 0;
   uint64_t result_hits = 0;    ///< responses served straight from the cache
   std::vector<SoakFailure> failures;
 

@@ -5,7 +5,10 @@
 // claim: N-thread concurrent submission produces results byte-identical
 // to sequential solo execution.
 #include <cstdlib>
+#include <functional>
 #include <future>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "mr/engine.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
+#include "serve/delta.h"
 #include "serve/plan_cache.h"
 #include "serve/service.h"
 #include "serve/signature.h"
@@ -511,26 +515,136 @@ TEST(ResultCacheTest, GuardInsertIsDeltaMaintained) {
   EXPECT_EQ(stats.result_hits, 1u);
 }
 
-TEST(ResultCacheTest, ConditionalInsertFallsBackToFullRun) {
+// The values of a unary relation, as raw words.
+std::set<uint64_t> ValuesOf(const Database& db, const std::string& name) {
+  std::set<uint64_t> out;
+  for (RowView row : db.Get(name).value()->views()) out.insert(row.words()[0]);
+  return out;
+}
+
+using ValueSets = std::vector<std::set<uint64_t>>;
+
+// The first row of `guard` for which `pick` holds, given the values of
+// the unary relations `conds`; nullopt when none does.
+std::optional<Tuple> FindGuardRow(
+    const Database& db, const std::string& guard,
+    const std::vector<std::string>& conds,
+    const std::function<bool(const uint64_t*, const ValueSets&)>& pick) {
+  ValueSets sets;
+  for (const std::string& c : conds) sets.push_back(ValuesOf(db, c));
+  for (RowView row : db.Get(guard).value()->views()) {
+    if (pick(row.words(), sets)) return row.ToTuple();
+  }
+  return std::nullopt;
+}
+
+// A row that fails the first of its four unary conditionals alone.
+bool FailsFirstOnly(const uint64_t* w, const ValueSets& in) {
+  return in[0].count(w[0]) == 0 && in[1].count(w[1]) > 0 &&
+         in[2].count(w[2]) > 0 && in[3].count(w[3]) > 0;
+}
+
+TEST(ResultCacheTest, ConditionalInsertIsDeltaMaintained) {
   Database db = MakeTestDb();
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
   serve::QueryService service(&db, opts);
 
-  ASSERT_OK(service.Run(ParseSgfOrDie(kQueryA1)).status);
+  const serve::Response cold = service.Run(ParseSgfOrDie(kQueryA1));
+  ASSERT_OK(cold.status);
 
-  // Conditional-position inserts are not guard-distributive (and not
-  // monotone under NOT): the service must fall back to a full
-  // re-execution — and still be exactly right.
-  Tuple t;
-  t.PushBack(Value::Int(12345));
-  ASSERT_OK(service.AddFact("S", t));
-  const serve::Response full = service.Run(ParseSgfOrDie(kQueryA1));
+  // A guard row that fails S(x) alone: inserting S(x) newly qualifies it,
+  // so the pass must slice R by the new S row and read S whole.
+  const std::optional<Tuple> row =
+      FindGuardRow(db, "R", {"S", "T", "U", "V"}, FailsFirstOnly);
+  ASSERT_TRUE(row.has_value());
+  ASSERT_OK(service.AddFact("S", Tuple{(*row)[0]}));
+  const serve::Response delta = service.Run(ParseSgfOrDie(kQueryA1));
+  ASSERT_OK(delta.status);
+  EXPECT_TRUE(delta.metrics.delta_applied);
+  EXPECT_FALSE(delta.metrics.result_cache_hit);
+  EXPECT_EQ(delta.metrics.delta_rows, 1u);
+  EXPECT_GT(delta.outputs.Get("Z").value()->size(),
+            cold.outputs.Get("Z").value()->size());
+  ExpectMatchesNaive(ParseSgfOrDie(kQueryA1), db, delta);
+
+  const serve::Response hit = service.Run(ParseSgfOrDie(kQueryA1));
+  ASSERT_OK(hit.status);
+  EXPECT_TRUE(hit.metrics.result_cache_hit);
+  EXPECT_EQ(hit.outputs.Get("Z").value()->words(),
+            delta.outputs.Get("Z").value()->words());
+  EXPECT_EQ(service.Stats().delta_hits, 1u);
+}
+
+TEST(ResultCacheTest, NegatedConditionalInsertFallsBackToFullRun) {
+  Database db = MakeTestDb();
+  serve::ServiceOptions opts;
+  opts.max_inflight = 1;
+  serve::QueryService service(&db, opts);
+  const char* kNegated =
+      "Z := SELECT (x, y) FROM R(x, y, z, w) WHERE T(y) AND NOT V(x);";
+
+  const serve::Response cold = service.Run(ParseSgfOrDie(kNegated));
+  ASSERT_OK(cold.status);
+
+  // An insert into V removes the output rows whose x it names: no slice
+  // of R can express that, so the service runs the query again in full.
+  const std::optional<Tuple> row = FindGuardRow(
+      db, "R", {"T", "V"}, [](const uint64_t* w, const ValueSets& in) {
+        return in[0].count(w[1]) > 0 && in[1].count(w[0]) == 0;
+      });
+  ASSERT_TRUE(row.has_value());
+  ASSERT_OK(service.AddFact("V", Tuple{(*row)[0]}));
+  const serve::Response full = service.Run(ParseSgfOrDie(kNegated));
   ASSERT_OK(full.status);
   EXPECT_FALSE(full.metrics.delta_applied);
   EXPECT_FALSE(full.metrics.result_cache_hit);
-  ExpectMatchesNaive(ParseSgfOrDie(kQueryA1), db, full);
+  EXPECT_LT(full.outputs.Get("Z").value()->size(),
+            cold.outputs.Get("Z").value()->size());
+  ExpectMatchesNaive(ParseSgfOrDie(kNegated), db, full);
   EXPECT_EQ(service.Stats().delta_hits, 0u);
+}
+
+// The A4 shape: two subqueries over disjoint relations. A guard insert
+// into R and a conditional insert into W land before one read, which
+// must be one delta pass slicing both guards.
+TEST(ResultCacheTest, GuardAndConditionalInsertsShareOnePass) {
+  Database db = MakeTestDb();
+  data::GeneratorConfig cfg;
+  cfg.tuples = 600;
+  cfg.representation_scale = 1.0;
+  data::Generator gen(cfg);
+  db.Put(gen.Guard("G", 4));
+  for (const char* c : {"W", "X", "Y", "Q"}) db.Put(gen.Conditional(c, 1));
+  const char* kQueryA4 =
+      "Z1 := SELECT (x, y, z, w) FROM R(x, y, z, w) "
+      "WHERE S(x) AND T(y) AND U(z) AND V(w);\n"
+      "Z2 := SELECT (x, y, z, w) FROM G(x, y, z, w) "
+      "WHERE W(x) AND X(y) AND Y(z) AND Q(w);";
+  serve::ServiceOptions opts;
+  opts.max_inflight = 1;
+  serve::QueryService service(&db, opts);
+
+  const serve::Response cold = service.Run(ParseSgfOrDie(kQueryA4));
+  ASSERT_OK(cold.status);
+
+  // A G row that fails W(x) alone.
+  const std::optional<Tuple> row =
+      FindGuardRow(db, "G", {"W", "X", "Y", "Q"}, FailsFirstOnly);
+  ASSERT_TRUE(row.has_value());
+  ASSERT_OK(service.AddFact("R", GuardFact(3)));
+  ASSERT_OK(service.AddFact("W", Tuple{(*row)[0]}));
+
+  const serve::Response delta = service.Run(ParseSgfOrDie(kQueryA4));
+  ASSERT_OK(delta.status);
+  EXPECT_TRUE(delta.metrics.delta_applied);
+  EXPECT_EQ(delta.metrics.delta_rows, 2u);
+  EXPECT_GT(delta.outputs.Get("Z2").value()->size(),
+            cold.outputs.Get("Z2").value()->size());
+  ExpectMatchesNaive(ParseSgfOrDie(kQueryA4), db, delta);
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.delta_hits, 1u);
+  EXPECT_EQ(stats.plans_built, 1u);  // the cold run's plan, nothing since
 }
 
 TEST(ResultCacheTest, DestructiveWriteFallsBackToFullRun) {
@@ -556,28 +670,48 @@ TEST(ResultCacheTest, DestructiveWriteFallsBackToFullRun) {
   ExpectMatchesNaive(ParseSgfOrDie(kQueryA1), db, full);
 }
 
-TEST(ResultCacheTest, MultiSubqueryDeltaRecomputesCleanOutputsExactly) {
-  // Two subqueries with disjoint guards: an insert into R dirties Z1
-  // only; the maintenance pass must union Z1 with its delta and
-  // recompute the clean Z2 in full — both byte-identical to scratch.
-  Database db = MakeTestDb();
-  data::GeneratorConfig cfg;
-  cfg.tuples = 600;
-  cfg.representation_scale = 1.0;
-  db.Put(data::Generator(cfg).Guard("G", 4));
+TEST(ResultCacheTest, MultiSubqueryDeltaReusesCleanOutputs) {
+  // Two subqueries with disjoint guards: an insert into R moves nothing
+  // Z2 reads, so G is shadowed by an empty slice, the pass reads no row
+  // of it, and Z2 comes back as its cached value. Under every strategy
+  // the empty guard runs through that strategy's operators.
   const char* kTwoGuards =
       "Z1 := SELECT x FROM R(x, y, z, w) WHERE S(x) AND T(y);\n"
       "Z2 := SELECT x FROM G(x, y, z, w) WHERE U(x) AND NOT V(x);";
-  serve::ServiceOptions opts;
-  opts.max_inflight = 1;
-  serve::QueryService service(&db, opts);
+  for (const plan::Strategy strategy :
+       {plan::Strategy::kSeq, plan::Strategy::kPar, plan::Strategy::kGreedy,
+        plan::Strategy::kGreedySgf}) {
+    SCOPED_TRACE(plan::StrategyName(strategy));
+    Database db = MakeTestDb();
+    data::GeneratorConfig cfg;
+    cfg.tuples = 600;
+    cfg.representation_scale = 1.0;
+    db.Put(data::Generator(cfg).Guard("G", 4));
+    serve::ServiceOptions opts;
+    opts.max_inflight = 1;
+    opts.planner.strategy = strategy;
+    serve::QueryService service(&db, opts);
 
-  ASSERT_OK(service.Run(ParseSgfOrDie(kTwoGuards)).status);
-  ASSERT_OK(service.AddFact("R", GuardFact(7)));
-  const serve::Response delta = service.Run(ParseSgfOrDie(kTwoGuards));
-  ASSERT_OK(delta.status);
-  EXPECT_TRUE(delta.metrics.delta_applied);
-  ExpectMatchesNaive(ParseSgfOrDie(kTwoGuards), db, delta);
+    const serve::Response cold = service.Run(ParseSgfOrDie(kTwoGuards));
+    ASSERT_OK(cold.status);
+    ASSERT_OK(service.AddFact("R", GuardFact(7)));
+    const serve::Response delta = service.Run(ParseSgfOrDie(kTwoGuards));
+    ASSERT_OK(delta.status);
+    EXPECT_TRUE(delta.metrics.delta_applied);
+    ExpectMatchesNaive(ParseSgfOrDie(kTwoGuards), db, delta);
+    EXPECT_EQ(delta.outputs.Get("Z2").value()->words(),
+              cold.outputs.Get("Z2").value()->words());
+
+    bool read_g = false;
+    for (const mr::JobStats& job : delta.stats.jobs) {
+      for (const mr::InputStats& in : job.inputs) {
+        if (in.dataset != "G") continue;
+        read_g = true;
+        EXPECT_EQ(in.input_mb, 0.0) << job.job_name;
+      }
+    }
+    EXPECT_TRUE(read_g) << "the pass never scheduled G's jobs";
+  }
 }
 
 TEST(ResultCacheTest, DisableDeltaEnvKnobTurnsTheLayerOff) {
@@ -648,6 +782,253 @@ TEST(ResultCacheTest, ConcurrentAddFactAndRunAreRaceFree) {
   const serve::Response final_resp = service.Run(query);
   ASSERT_OK(final_resp.status);
   ExpectMatchesNaive(query, db, final_resp);
+}
+
+// ---- serve::PlanDelta, rule by rule (DESIGN.md §12) -------------------------
+
+// Plans the delta pass for `text` across the writes `mutate` makes to
+// `db`, the way the result cache does for an entry cached before them.
+serve::DeltaPlan DeltaAcross(const std::string& text, Database* db,
+                             const std::function<void(Database*)>& mutate) {
+  const sgf::SgfQuery query = ParseSgfOrDie(text);
+  const std::vector<uint64_t> before = serve::PlanCache::EpochsOf(query, *db);
+  mutate(db);
+  return serve::PlanDelta(query, *db, serve::PlanCache::EpochNamesOf(query),
+                          before, serve::PlanCache::EpochsOf(query, *db));
+}
+
+std::function<void(Database*)> Inserts(
+    std::vector<std::pair<std::string, std::vector<int64_t>>> facts) {
+  return [facts](Database* db) {
+    for (const auto& [name, values] : facts) {
+      Tuple t;
+      for (const int64_t v : values) t.PushBack(Value::Int(v));
+      ASSERT_OK(db->AddFact(name, t));
+    }
+  };
+}
+
+void ExpectFallback(const serve::DeltaPlan& dp, serve::DeltaFallback want) {
+  EXPECT_FALSE(dp.eligible);
+  EXPECT_EQ(dp.fallback, want);
+  EXPECT_TRUE(dp.dirty.empty());
+}
+
+const std::vector<int64_t> kNewGuardRow = {100000, 100001, 100002, 100003};
+
+TEST(PlanDeltaTest, GuardAndPositiveConditionalInsertsSliceTheGuard) {
+  Database db = MakeTestDb();
+  const Relation r_old = *db.Get("R").value();
+  const int64_t x = r_old.view(0)[0].AsInt();
+  const serve::DeltaPlan dp = DeltaAcross(
+      kQueryA1, &db, Inserts({{"R", kNewGuardRow}, {"S", {x}}}));
+  ASSERT_TRUE(dp.eligible);
+  EXPECT_EQ(dp.fallback, serve::DeltaFallback::kNone);
+  EXPECT_EQ(dp.delta_rows, 2u);
+  EXPECT_EQ(dp.dirty, (std::set<std::string>{"R", "Z"}));
+  // S_R = the new R row plus every R row with that x; S stays whole.
+  size_t with_x = 0;
+  for (RowView row : r_old.views()) with_x += row[0].AsInt() == x ? 1 : 0;
+  EXPECT_EQ(dp.view.Get("R").value()->size(), 1 + with_x);
+  EXPECT_EQ(dp.view.Get("S").value(), db.Get("S").value());
+}
+
+TEST(PlanDeltaTest, UnmovedGuardGetsAnEmptySlice) {
+  Database db = MakeTestDb();
+  data::GeneratorConfig cfg;
+  cfg.tuples = 600;
+  cfg.representation_scale = 1.0;
+  db.Put(data::Generator(cfg).Guard("G", 4));
+  const serve::DeltaPlan dp = DeltaAcross(
+      "Z1 := SELECT x FROM R(x, y, z, w) WHERE S(x);\n"
+      "Z2 := SELECT x FROM G(x, y, z, w) WHERE U(x) AND NOT V(x);",
+      &db, Inserts({{"R", kNewGuardRow}}));
+  ASSERT_TRUE(dp.eligible);
+  EXPECT_EQ(dp.dirty, (std::set<std::string>{"G", "R", "Z1", "Z2"}));
+  EXPECT_EQ(dp.view.Get("R").value()->size(), 1u);
+  EXPECT_EQ(dp.view.Get("G").value()->size(), 0u);
+}
+
+TEST(PlanDeltaTest, DestructiveWriteFallsBack) {
+  Database db = MakeTestDb();
+  ExpectFallback(DeltaAcross(kQueryA1, &db,
+                             [](Database* d) {
+                               d->Put(MakeRelation("S", 1, {{1}, {2}}));
+                             }),
+                 serve::DeltaFallback::kDestructive);
+}
+
+TEST(PlanDeltaTest, AgedOutWatermarkFallsBack) {
+  Database db = MakeTestDb();
+  // Cache at an insert watermark, then push it out of the bounded ring.
+  ASSERT_OK(db.AddFact("S", Tuple::Ints({100000})));
+  ExpectFallback(DeltaAcross(kQueryA1, &db,
+                             [](Database* d) {
+                               for (int64_t i = 1; i <= 100; ++i) {
+                                 ASSERT_OK(d->AddFact(
+                                     "S", Tuple::Ints({100000 + i})));
+                               }
+                             }),
+                 serve::DeltaFallback::kNoWatermark);
+}
+
+TEST(PlanDeltaTest, MismatchedEpochVectorsFallBack) {
+  const Database db = MakeTestDb(50);
+  const sgf::SgfQuery query = ParseSgfOrDie(kQueryA1);
+  const std::vector<std::string> names = serve::PlanCache::EpochNamesOf(query);
+  const std::vector<uint64_t> epochs = serve::PlanCache::EpochsOf(query, db);
+  ExpectFallback(
+      serve::PlanDelta(query, db, names, epochs,
+                       std::vector<uint64_t>(epochs.begin(), epochs.end() - 1)),
+      serve::DeltaFallback::kMissingRelation);
+}
+
+TEST(PlanDeltaTest, InsertUnderAnOddNumberOfNotsFallsBack) {
+  // T sits under one NOT, V under two: only T's inserts can remove rows.
+  const char* kParity =
+      "Z := SELECT x FROM R(x, y, z, w) "
+      "WHERE S(x) AND NOT (T(y) AND NOT V(w));";
+  Database db = MakeTestDb();
+  ExpectFallback(DeltaAcross(kParity, &db, Inserts({{"T", {100000}}})),
+                 serve::DeltaFallback::kNegatedDelta);
+  Database db2 = MakeTestDb();
+  EXPECT_TRUE(DeltaAcross(kParity, &db2, Inserts({{"V", {100000}}})).eligible);
+}
+
+TEST(PlanDeltaTest, NestedProgramsFallBackWhereAWholeRelationNeedsASlice) {
+  // Z1 is read in conditional position, so its guard R must stay whole:
+  // an insert S feeds into Z1 needs R sliced (and a U insert sits under
+  // NOT).
+  Database db = MakeTestDb();
+  ExpectFallback(DeltaAcross(kQueryNested, &db, Inserts({{"S", {100000}}})),
+                 serve::DeltaFallback::kNeedsWholeRelation);
+  Database db2 = MakeTestDb();
+  ExpectFallback(DeltaAcross(kQueryNested, &db2, Inserts({{"U", {100000}}})),
+                 serve::DeltaFallback::kNegatedDelta);
+
+  // S is both Z1's guard and Z2's conditional: a moved S, or a moved T
+  // that Z1 reads, needs a slice of S, which must stay whole for Z2.
+  const char* kGuardAndConditional =
+      "Z1 := SELECT x FROM S(x) WHERE T(x);\n"
+      "Z2 := SELECT x FROM R(x, y, z, w) WHERE S(x);";
+  for (const char* moved : {"S", "T"}) {
+    Database db3 = MakeTestDb();
+    ExpectFallback(DeltaAcross(kGuardAndConditional, &db3,
+                               Inserts({{moved, {100000}}})),
+                   serve::DeltaFallback::kNeedsWholeRelation);
+  }
+
+  // Z grows with S, and Q reads it whole: no slice of R can be cut by
+  // the rows Z gains, though R itself is neither moved nor whole.
+  const char* kChangedConditionalOutput =
+      "Y := SELECT x FROM G(x, y, z, w) WHERE T(x);\n"
+      "Z := SELECT x FROM Y(x) WHERE S(x);\n"
+      "Q := SELECT (x, y) FROM R(x, y, z, w) WHERE Z(x);";
+  data::GeneratorConfig cfg;
+  cfg.tuples = 600;
+  cfg.representation_scale = 1.0;
+  Database db4 = MakeTestDb();
+  db4.Put(data::Generator(cfg).Guard("G", 4));
+  ExpectFallback(DeltaAcross(kChangedConditionalOutput, &db4,
+                             Inserts({{"S", {100000}}})),
+                 serve::DeltaFallback::kNeedsWholeRelation);
+}
+
+TEST(PlanDeltaTest, DirtyOutputGuardTakesGuardInsertsOnly) {
+  // Z2's guard is Z1, which holds only its new rows in the pass: an R
+  // insert is a pass, but an S insert would newly qualify old Z1 rows.
+  const char* kChain =
+      "Z1 := SELECT (x, y) FROM R(x, y, z, w) WHERE T(y);\n"
+      "Z2 := SELECT x FROM Z1(x, y) WHERE S(x);";
+  Database db = MakeTestDb();
+  ExpectFallback(DeltaAcross(kChain, &db,
+                             Inserts({{"R", kNewGuardRow}, {"S", {100000}}})),
+                 serve::DeltaFallback::kNeedsWholeRelation);
+
+  Database db2 = MakeTestDb();
+  serve::ServiceOptions opts;
+  opts.max_inflight = 1;
+  serve::QueryService service(&db2, opts);
+  ASSERT_OK(service.Run(ParseSgfOrDie(kChain)).status);
+  const Tuple first = db2.Get("R").value()->TupleAt(0);
+  ASSERT_OK(service.AddFact("R", Tuple{first[0], first[1], Value::Int(1),
+                                       Value::Int(2)}));
+  const serve::Response delta = service.Run(ParseSgfOrDie(kChain));
+  ASSERT_OK(delta.status);
+  EXPECT_TRUE(delta.metrics.delta_applied);
+  ExpectMatchesNaive(ParseSgfOrDie(kChain), db2, delta);
+}
+
+// Slices for conditional atoms of every shape: each must hold exactly
+// the guard rows the inserted facts can newly qualify, and the service's
+// pass over it must match the naive evaluator.
+TEST(PlanDeltaTest, SlicesFollowTheConditionalAtomsShape) {
+  const Relation r = *MakeTestDb().Get("R").value();
+  const int64_t a = r.view(0)[0].AsInt();
+  int64_t b = a;
+  for (RowView row : r.views()) {
+    if (row[0].AsInt() != a) {
+      b = row[0].AsInt();
+      break;
+    }
+  }
+  ASSERT_NE(a, b);
+  size_t with_a = 0;
+  for (RowView row : r.views()) with_a += row[0].AsInt() == a ? 1 : 0;
+
+  struct Case {
+    const char* name;
+    std::string query;
+    std::vector<std::vector<int64_t>> facts;  // inserted into P
+    size_t slice_rows;
+  };
+  const std::vector<Case> cases = {
+      // Only P(a, 99999) conforms to the constant.
+      {"constant", "Z := SELECT (x, y) FROM R(x, y, z, w) WHERE P(x, 99999);",
+       {{a, 99999}, {b, 5}}, with_a},
+      // Only P(a, a) conforms to the repeated variable.
+      {"repeated", "Z := SELECT (x, y) FROM R(x, y, z, w) WHERE P(x, x);",
+       {{a, a}, {b, b + 1}}, with_a},
+      // v is existential: the key is x alone.
+      {"existential", "Z := SELECT (x, y) FROM R(x, y, z, w) WHERE P(x, v);",
+       {{a, 424242}}, with_a},
+      // No shared variable: one conforming fact qualifies every row.
+      {"unshared",
+       "Z := SELECT (x, y) FROM R(x, y, z, w) WHERE S(x) AND P(99999, v);",
+       {{99999, 1}}, r.size()},
+      {"unshared, none conforming",
+       "Z := SELECT (x, y) FROM R(x, y, z, w) WHERE S(x) AND P(99999, v);",
+       {{5, 1}}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto make_db = [] {
+      Database db = MakeTestDb();
+      db.Put(MakeRelation("P", 2, {{1, 2}}));
+      return db;
+    };
+    std::vector<std::pair<std::string, std::vector<int64_t>>> facts;
+    for (const auto& f : c.facts) facts.emplace_back("P", f);
+
+    Database db = make_db();
+    const serve::DeltaPlan dp = DeltaAcross(c.query, &db, Inserts(facts));
+    ASSERT_TRUE(dp.eligible);
+    EXPECT_EQ(dp.view.Get("R").value()->size(), c.slice_rows);
+
+    Database served = make_db();
+    serve::ServiceOptions opts;
+    opts.max_inflight = 1;
+    serve::QueryService service(&served, opts);
+    const sgf::SgfQuery query = ParseSgfOrDie(c.query);
+    ASSERT_OK(service.Run(query).status);
+    for (const auto& f : c.facts) {
+      ASSERT_OK(service.AddFact("P", Tuple::Ints({f[0], f[1]})));
+    }
+    const serve::Response delta = service.Run(query);
+    ASSERT_OK(delta.status);
+    EXPECT_TRUE(delta.metrics.delta_applied);
+    ExpectMatchesNaive(query, served, delta);
+  }
 }
 
 // The calibration loop (DESIGN.md §10) observes every successful
