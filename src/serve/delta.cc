@@ -1,5 +1,6 @@
 #include "serve/delta.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
@@ -57,35 +58,42 @@ struct Probe {
 
 // S_G: the rows of `guard` from `from` on (its own inserts), plus
 // G_new ⋉_a ΔC for every probe. ΔC holds a few rows, so each probe hashes
-// their keys and scans the guard once; the kept rows are copied in row
-// order with their stored fingerprints.
+// their keys first; one scan of the older guard rows then probes every
+// set, and the kept rows are copied in row order with their stored
+// fingerprints.
 Relation GuardSlice(const Relation& guard, size_t from,
                     const std::vector<Probe>& probes, const Database& db,
                     const std::map<std::string, size_t>& moved) {
-  std::vector<bool> keep(guard.size(), false);
-  std::fill(keep.begin() + static_cast<std::ptrdiff_t>(from), keep.end(), true);
+  struct Keys {
+    const sgf::Atom* guard;
+    ops::KeyProjection at_guard;
+    std::unordered_set<Tuple> inserted;
+  };
+  std::vector<Keys> sets;
+  std::vector<uint64_t> buf;
   for (const Probe& p : probes) {
     const Relation& cond = **db.Get(p.atom->relation());
     const std::vector<std::string> shared = p.atom->SharedVariables(*p.guard);
     const auto at_atom = ops::KeyProjection::Of(*p.atom, shared);
-    const auto at_guard = ops::KeyProjection::Of(*p.guard, shared);
-    std::vector<uint64_t> buf;
-    std::unordered_set<Tuple> keys;
+    Keys keys{p.guard, ops::KeyProjection::Of(*p.guard, shared), {}};
     for (size_t i = moved.at(p.atom->relation()); i < cond.size(); ++i) {
       const RowView row = cond.view(i);
       if (p.atom->Conforms(row)) {
-        keys.insert(at_atom.Gather(row, &buf).ToTuple());
+        keys.inserted.insert(at_atom.Gather(row, &buf).ToTuple());
       }
     }
-    if (keys.empty()) continue;
     // With no shared variable the one key is (): every conforming guard
     // row qualifies.
-    for (size_t i = 0; i < guard.size(); ++i) {
-      if (keep[i]) continue;
-      const RowView row = guard.view(i);
-      keep[i] = p.guard->Conforms(row) &&
-                keys.count(at_guard.Gather(row, &buf).ToTuple()) > 0;
-    }
+    if (!keys.inserted.empty()) sets.push_back(std::move(keys));
+  }
+  std::vector<bool> keep(guard.size(), false);
+  std::fill(keep.begin() + static_cast<std::ptrdiff_t>(from), keep.end(), true);
+  for (size_t i = 0; i < from && !sets.empty(); ++i) {
+    const RowView row = guard.view(i);
+    keep[i] = std::any_of(sets.begin(), sets.end(), [&](const Keys& k) {
+      return k.guard->Conforms(row) &&
+             k.inserted.count(k.at_guard.Gather(row, &buf).ToTuple()) > 0;
+    });
   }
   return guard.CloneRows(keep);
 }
