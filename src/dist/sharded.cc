@@ -21,15 +21,16 @@ namespace {
 
 constexpr double kMbPerByte = 1.0 / (1024.0 * 1024.0);
 
-/// Receives the next frame on (from -> me), parses it, and checks the
-/// type. A kError frame arriving instead carries a peer's failure — it
-/// is decoded and propagated as this shard's own status, which is how
-/// one shard's local error unwinds the whole lock-step protocol without
-/// waiting out the transport timeout.
-Result<std::vector<uint8_t>> ExpectFrame(Transport* tp, int me, int from,
-                                         FrameType want) {
-  GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, tp->Recv(me, from));
-  GUMBO_ASSIGN_OR_RETURN(FrameReader r, FrameReader::Parse(bytes));
+/// Receives the next frame on (from -> me) into `bytes`, verifies it —
+/// the one verification the frame gets — and checks the type; the
+/// returned reader borrows `bytes`. A kError frame arriving instead
+/// carries a peer's failure — it is decoded and propagated as this
+/// shard's own status, which is how one shard's local error unwinds the
+/// whole lock-step protocol without waiting out the transport timeout.
+Result<FrameReader> ExpectFrame(Transport* tp, int me, int from,
+                                FrameType want, std::vector<uint8_t>* bytes) {
+  GUMBO_ASSIGN_OR_RETURN(*bytes, tp->Recv(me, from));
+  GUMBO_ASSIGN_OR_RETURN(FrameReader r, FrameReader::Parse(*bytes));
   if (r.type() == FrameType::kError) {
     Status peer = DecodeErrorBody(&r);
     if (peer.ok()) peer = Status::Internal("dist: malformed error frame");
@@ -42,7 +43,7 @@ Result<std::vector<uint8_t>> ExpectFrame(Transport* tp, int me, int from,
         std::to_string(from) + ", got " +
         std::to_string(static_cast<int>(r.type())));
   }
-  return bytes;
+  return r;
 }
 
 /// Best-effort: tells every other shard this one failed, so their next
@@ -89,11 +90,10 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   if (me == 0) {
     double total_intermediate_mb = exec->OwnedIntermediateMb(owned_map);
     for (int s = 1; s < S; ++s) {
+      std::vector<uint8_t> bytes;
       GUMBO_ASSIGN_OR_RETURN(
-          std::vector<uint8_t> bytes,
-          ExpectFrame(tp, me, s, FrameType::kMapStats));
+          FrameReader rd, ExpectFrame(tp, me, s, FrameType::kMapStats, &bytes));
       exec->stats().dist_wire_mb += static_cast<double>(bytes.size()) * kMbPerByte;
-      GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
       double shard_mb = 0.0;
       GUMBO_RETURN_IF_ERROR(rd.ReadF64(&shard_mb));
       total_intermediate_mb += shard_mb;
@@ -113,9 +113,10 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     w.F64(exec->OwnedIntermediateMb(owned_map));
     GUMBO_RETURN_IF_ERROR(
         tp->Send(me, 0, w.Finish(FrameType::kMapStats, me32, job_aux)));
-    GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                           ExpectFrame(tp, me, 0, FrameType::kReduceAlloc));
-    GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
+    std::vector<uint8_t> bytes;
+    GUMBO_ASSIGN_OR_RETURN(
+        FrameReader rd,
+        ExpectFrame(tp, me, 0, FrameType::kReduceAlloc, &bytes));
     uint32_t ru = 0;
     GUMBO_RETURN_IF_ERROR(rd.ReadU32(&ru));
     r = static_cast<int>(ru);
@@ -124,9 +125,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   // ---- Shuffle exchange: every owned record is routed to the shard
   // owning its partition — one kShuffleChunk frame per destination
   // (empty frames included, so receive counts are uniform). Records are
-  // shipped verbatim from the flat shuffle buffers: key words, cached
-  // fingerprint, messages, and spilled payloads, with the wire-byte
-  // accounting doubles as bit patterns.
+  // shipped verbatim from the flat shuffle buffers (EncodeShuffleRecord).
   double shuffle_sent_bytes = 0.0;
   {
     std::vector<FrameWriter> writers(static_cast<size_t>(S));
@@ -137,21 +136,9 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
           ti, [&](const mr::Shuffle::KeyEntry& e, const uint64_t* key_words,
                   const mr::Message* msgs, const uint64_t* payload_arena) {
             const size_t p = mr::Shuffle::PartitionIndex(e.fingerprint, r);
-            FrameWriter& w = writers[p % static_cast<size_t>(S)];
-            w.U32(static_cast<uint32_t>(ti));
-            w.U32(e.key_arity);
-            w.U64(e.fingerprint);
-            w.F64(e.wire_bytes);
-            w.U32(e.msg_count);
-            w.Words(key_words, e.key_arity);
-            for (uint32_t mi = 0; mi < e.msg_count; ++mi) {
-              const mr::Message& m = msgs[mi];
-              w.U32(m.tag);
-              w.U32(m.aux);
-              w.U32(m.payload_size);
-              w.F64(m.wire_bytes);
-              w.Words(m.payload_words(payload_arena), m.payload_size);
-            }
+            EncodeShuffleRecord(static_cast<uint32_t>(ti), e, key_words, msgs,
+                                payload_arena,
+                                &writers[p % static_cast<size_t>(S)]);
           });
     }
     for (int d = 0; d < S; ++d) {
@@ -172,49 +159,12 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   // the single-process shuffle's.
   {
     mr::Shuffle imported(exec->tasks().size(), job.pack_messages);
-    std::vector<uint64_t> key_scratch;
-    std::vector<uint64_t> payload_scratch;
-    std::vector<uint64_t> word_tmp;
-    std::vector<mr::Shuffle::ImportMessage> msg_scratch;
-    std::vector<size_t> payload_offsets;
     for (int s = 0; s < S; ++s) {
-      GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                             ExpectFrame(tp, me, s, FrameType::kShuffleChunk));
-      GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
-      while (rd.remaining() > 0) {
-        uint32_t ti = 0;
-        uint32_t key_arity = 0;
-        uint64_t fingerprint = 0;
-        double wire_bytes = 0.0;
-        uint32_t msg_count = 0;
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&ti));
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&key_arity));
-        GUMBO_RETURN_IF_ERROR(rd.ReadU64(&fingerprint));
-        GUMBO_RETURN_IF_ERROR(rd.ReadF64(&wire_bytes));
-        GUMBO_RETURN_IF_ERROR(rd.ReadU32(&msg_count));
-        GUMBO_RETURN_IF_ERROR(rd.ReadWords(key_arity, &key_scratch));
-        msg_scratch.assign(msg_count, {});
-        payload_offsets.assign(msg_count, 0);
-        payload_scratch.clear();
-        for (uint32_t mi = 0; mi < msg_count; ++mi) {
-          mr::Shuffle::ImportMessage& im = msg_scratch[mi];
-          GUMBO_RETURN_IF_ERROR(rd.ReadU32(&im.tag));
-          GUMBO_RETURN_IF_ERROR(rd.ReadU32(&im.aux));
-          GUMBO_RETURN_IF_ERROR(rd.ReadU32(&im.payload_size));
-          GUMBO_RETURN_IF_ERROR(rd.ReadF64(&im.wire_bytes));
-          GUMBO_RETURN_IF_ERROR(rd.ReadWords(im.payload_size, &word_tmp));
-          payload_offsets[mi] = payload_scratch.size();
-          payload_scratch.insert(payload_scratch.end(), word_tmp.begin(),
-                                 word_tmp.end());
-        }
-        // Pointers resolved only once the scratch arena stopped growing.
-        for (uint32_t mi = 0; mi < msg_count; ++mi) {
-          msg_scratch[mi].payload = payload_scratch.data() + payload_offsets[mi];
-        }
-        GUMBO_RETURN_IF_ERROR(imported.ImportTaskRecord(
-            ti, key_scratch.data(), key_arity, fingerprint, wire_bytes,
-            msg_scratch.data(), msg_count));
-      }
+      std::vector<uint8_t> bytes;
+      GUMBO_ASSIGN_OR_RETURN(
+          FrameReader rd,
+          ExpectFrame(tp, me, s, FrameType::kShuffleChunk, &bytes));
+      GUMBO_RETURN_IF_ERROR(DecodeShuffleChunk(&rd, &imported));
     }
     exec->shuffle() = std::move(imported);
   }
@@ -240,9 +190,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
         const mr::JobOutput& spec = job.outputs[oi];
         Relation frag(spec.dataset, spec.arity);
         frag.Adopt(std::move(builders[oi]));
-        w.U64(frag.size());
-        w.Words(frag.words().data(), frag.words().size());
-        w.Words(frag.fingerprints().data(), frag.fingerprints().size());
+        EncodeRowBlock(frag, &w);
       }
     }
     // Not added to shuffle_sent_bytes: the coordinator counts epilogue
@@ -283,10 +231,11 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   double wire_bytes_total = shuffle_sent_bytes;
   double received_mb = exec->ReceivedMb();
   for (int s = 1; s < S; ++s) {
-    GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> fbytes,
-                           ExpectFrame(tp, me, s, FrameType::kOutputFragment));
+    std::vector<uint8_t> fbytes;
+    GUMBO_ASSIGN_OR_RETURN(
+        FrameReader frd,
+        ExpectFrame(tp, me, s, FrameType::kOutputFragment, &fbytes));
     wire_bytes_total += static_cast<double>(fbytes.size());
-    GUMBO_ASSIGN_OR_RETURN(FrameReader frd, FrameReader::Parse(fbytes));
     while (frd.remaining() > 0) {
       uint32_t p = 0;
       GUMBO_RETURN_IF_ERROR(frd.ReadU32(&p));
@@ -299,16 +248,14 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
       frags.resize(num_outputs);
       for (size_t oi = 0; oi < num_outputs; ++oi) {
         RemoteFrag& f = frags[oi];
-        GUMBO_RETURN_IF_ERROR(frd.ReadU64(&f.rows));
-        GUMBO_RETURN_IF_ERROR(frd.ReadWords(
-            f.rows * job.outputs[oi].arity, &f.words));
-        GUMBO_RETURN_IF_ERROR(frd.ReadWords(f.rows, &f.fps));
+        GUMBO_RETURN_IF_ERROR(DecodeRowBlock(&frd, job.outputs[oi].arity,
+                                             &f.rows, &f.words, &f.fps));
       }
     }
-    GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> sbytes,
-                           ExpectFrame(tp, me, s, FrameType::kJobStats));
+    std::vector<uint8_t> sbytes;
+    GUMBO_ASSIGN_OR_RETURN(
+        FrameReader srd, ExpectFrame(tp, me, s, FrameType::kJobStats, &sbytes));
     wire_bytes_total += static_cast<double>(sbytes.size());
-    GUMBO_ASSIGN_OR_RETURN(FrameReader srd, FrameReader::Parse(sbytes));
     mr::JobCounters counters;
     GUMBO_RETURN_IF_ERROR(DecodeJobCounters(&srd, &counters));
     st += counters;
@@ -466,9 +413,9 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
       }
     } else {
       for (size_t k = 0; k < round.size(); ++k) {
-        GUMBO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                               ExpectFrame(tp, me, 0, FrameType::kCommit));
-        GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(bytes));
+        std::vector<uint8_t> bytes;
+        GUMBO_ASSIGN_OR_RETURN(
+            FrameReader rd, ExpectFrame(tp, me, 0, FrameType::kCommit, &bytes));
         uint32_t n = 0;
         GUMBO_RETURN_IF_ERROR(rd.ReadU32(&n));
         for (uint32_t i = 0; i < n; ++i) {

@@ -13,6 +13,15 @@ namespace gumbo::mr {
 
 namespace {
 
+/// Appends `n` words given as raw, possibly unaligned bytes.
+void AppendWords(std::vector<uint64_t>* arena, const uint8_t* bytes,
+                 size_t n) {
+  if (n == 0) return;  // `bytes` may be null then; memcpy forbids that
+  const size_t at = arena->size();
+  arena->resize(at + n);
+  std::memcpy(arena->data() + at, bytes, n * sizeof(uint64_t));
+}
+
 uint64_t NowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -103,7 +112,7 @@ void Shuffle::ForEachTaskRecord(
   }
 }
 
-Status Shuffle::ImportTaskRecord(size_t task, const uint64_t* key_words,
+Status Shuffle::ImportTaskRecord(size_t task, const uint8_t* key_words,
                                  uint32_t key_arity, uint64_t fingerprint,
                                  double wire_bytes, const ImportMessage* msgs,
                                  size_t msg_count) {
@@ -123,7 +132,7 @@ Status Shuffle::ImportTaskRecord(size_t task, const uint64_t* key_words,
   e.msg_begin = static_cast<uint32_t>(td.messages.size());
   e.msg_count = static_cast<uint32_t>(msg_count);
   e.wire_bytes = wire_bytes;
-  td.key_arena.insert(td.key_arena.end(), key_words, key_words + key_arity);
+  AppendWords(&td.key_arena, key_words, key_arity);
   for (size_t i = 0; i < msg_count; ++i) {
     const ImportMessage& im = msgs[i];
     Message m;
@@ -132,13 +141,13 @@ Status Shuffle::ImportTaskRecord(size_t task, const uint64_t* key_words,
     m.payload_size = im.payload_size;
     m.wire_bytes = im.wire_bytes;
     if (im.payload_size <= Message::kInlinePayloadValues) {
-      for (uint32_t w = 0; w < im.payload_size; ++w) {
-        m.inline_payload[w] = im.payload[w];
+      if (im.payload_size > 0) {
+        std::memcpy(m.inline_payload, im.payload,
+                    im.payload_size * sizeof(uint64_t));
       }
     } else {
       m.payload_pos = static_cast<uint32_t>(td.payload_arena.size());
-      td.payload_arena.insert(td.payload_arena.end(), im.payload,
-                              im.payload + im.payload_size);
+      AppendWords(&td.payload_arena, im.payload, im.payload_size);
     }
     td.messages.push_back(m);
   }

@@ -99,7 +99,8 @@ class Shuffle {
     uint32_t aux = 0;
     uint32_t payload_size = 0;
     double wire_bytes = 0.0;
-    const uint64_t* payload = nullptr;  ///< payload_size words
+    /// payload_size words as raw bytes, unaligned (in place in a frame).
+    const uint8_t* payload = nullptr;
   };
 
   /// Appends one record to task `task` (the wire import path, inverse of
@@ -107,11 +108,14 @@ class Shuffle {
   /// spilled payloads into its payload arena, and the fingerprint /
   /// wire-byte accounting is adopted verbatim — never recomputed, so an
   /// imported shuffle is byte-identical to the one it was exported from.
+  /// `key_words` (key_arity words) and the message payloads are raw,
+  /// possibly unaligned bytes, read with memcpy, so a wire decoder
+  /// (dist::DecodeShuffleChunk) can hand over pointers into the frame.
   /// Records of one (task, partition) pair must arrive in their original
   /// order; interleaving different partitions' records of a task is fine
   /// (key ties — the only order-sensitive comparisons — never span
   /// partitions). Must precede Partition.
-  Status ImportTaskRecord(size_t task, const uint64_t* key_words,
+  Status ImportTaskRecord(size_t task, const uint8_t* key_words,
                           uint32_t key_arity, uint64_t fingerprint,
                           double wire_bytes, const ImportMessage* msgs,
                           size_t msg_count);

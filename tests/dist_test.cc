@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -159,6 +160,14 @@ TEST(WireTest, RejectsTruncatedForeignSkewedAndCorruptFrames) {
     t[4] += 1;
     EXPECT_FALSE(FrameReader::Parse(t).ok());
   }
+  {  // version 2 (FNV-1a checksums, same layout)
+    std::vector<uint8_t> t = frame;
+    const uint16_t v2 = 2;
+    std::memcpy(t.data() + 4, &v2, sizeof(v2));
+    auto r = FrameReader::Parse(t);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
   {  // corrupt body -> checksum mismatch
     std::vector<uint8_t> t = frame;
     t[kFrameHeaderBytes] ^= 0x01;
@@ -169,6 +178,63 @@ TEST(WireTest, RejectsTruncatedForeignSkewedAndCorruptFrames) {
   // The untouched frame still parses (the mutations above were the
   // problem, not the fixture).
   EXPECT_OK(FrameReader::Parse(frame));
+
+  // Every single-bit flip of a 0-100 byte body fails the checksum. The
+  // lengths cross the 32-byte lane stripe and the 8-, 4- and 1-byte
+  // tails of the checksum.
+  for (size_t len = 0; len <= 100; ++len) {
+    FrameWriter w;
+    uint8_t* body = w.Extend(len);
+    for (size_t i = 0; i < len; ++i) {
+      body[i] = static_cast<uint8_t>(i * 131 + len);
+    }
+    const std::vector<uint8_t> sealed = w.Finish(FrameType::kRelation, 0);
+    ASSERT_OK(FrameReader::Parse(sealed));
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      std::vector<uint8_t> t = sealed;
+      t[kFrameHeaderBytes + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      auto r = FrameReader::Parse(t);
+      ASSERT_FALSE(r.ok()) << len << "-byte body, bit " << bit;
+      ASSERT_EQ(r.status().code(), StatusCode::kParseError);
+    }
+  }
+}
+
+// The frame checksum is XXH64 with seed 0: the published reference
+// values, from the empty input (no stripe, no tail) to 39 bytes (one
+// 32-byte stripe, then 4- and 1-byte tails).
+TEST(WireTest, ChecksumMatchesXxh64ReferenceValues) {
+  auto checksum = [](const std::string& s) {
+    return WireChecksum(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  };
+  EXPECT_EQ(checksum(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(checksum("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(checksum("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(checksum("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+}
+
+// A checksum-valid relation frame whose row count its body cannot hold
+// fails with ParseError before anything is allocated for it: 2^40 rows
+// of arity 8 (8 TiB of words), and 2^61 rows, whose word count
+// 2^61 × 8 wraps to 0.
+TEST(WireTest, RejectsRowCountsTheBodyCannotHold) {
+  for (const uint64_t rows : {uint64_t{1} << 40, uint64_t{1} << 61}) {
+    SCOPED_TRACE(rows);
+    FrameWriter w;
+    w.Str("forged");
+    w.U32(8);
+    w.F64(0.0);
+    w.F64(1.0);
+    w.U64(rows);
+    w.U64(42);  // one word, where the claim needs rows × 9
+    const std::vector<uint8_t> frame = w.Finish(FrameType::kRelation, 0);
+    auto rd = FrameReader::Parse(frame);
+    ASSERT_OK(rd);
+    auto rel = DecodeRelationBody(&*rd);
+    ASSERT_FALSE(rel.ok());
+    EXPECT_EQ(rel.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(WireTest, ErrorFrameCarriesStatus) {
@@ -271,10 +337,24 @@ std::vector<FlatRecord> FlattenTask(const mr::Shuffle& sh, size_t ti) {
   return out;
 }
 
-// Exporting every record of one shuffle and importing it into a fresh one
-// (the sharded runtime's exchange path, minus the transport) must
-// reproduce keys, fingerprints, payloads — including heap-spilled ones —
-// and wire accounting verbatim.
+// Seals `body` as a kShuffleChunk frame and decodes it into `into`.
+Status ImportChunk(const std::vector<uint8_t>& body, mr::Shuffle* into) {
+  FrameWriter w;
+  if (!body.empty()) {
+    std::memcpy(w.Extend(body.size()), body.data(), body.size());
+  }
+  const std::vector<uint8_t> frame = w.Finish(FrameType::kShuffleChunk, 0);
+  GUMBO_ASSIGN_OR_RETURN(FrameReader rd, FrameReader::Parse(frame));
+  return DecodeShuffleChunk(&rd, into);
+}
+
+// Exporting every record of one shuffle through the kShuffleChunk codec
+// and importing it into a fresh one (the sharded runtime's exchange
+// path, minus the transport) must reproduce keys — a zero-arity one
+// included — fingerprints, payloads — heap-spilled ones included — and
+// wire accounting verbatim. A chunk cut anywhere but between records,
+// or a record claiming more messages than its bytes hold, fails with
+// ParseError before anything is allocated for the claim.
 TEST(ShuffleWireTest, ExportImportRoundTripsRecords) {
   for (const bool pack : {true, false}) {
     SCOPED_TRACE(pack ? "packed" : "unpacked");
@@ -289,6 +369,8 @@ TEST(ShuffleWireTest, ExportImportRoundTripsRecords) {
       buf.Emit(Tuple{Value::Int(5)}, /*tag=*/0, /*aux=*/3, 14.0);  // packed pair
       buf.Emit(Tuple{Value::Int(-5)}, /*tag=*/2, /*aux=*/1,
                Tuple{Value::Int(9)}, 24.0);  // inline payload
+      buf.Emit(Tuple{}, /*tag=*/3, /*aux=*/2, Tuple{Value::Int(4)},
+               16.0);  // zero-arity key
       ASSERT_OK(src.AddTaskOutput(0, std::move(buf)));
     }
     {
@@ -297,30 +379,62 @@ TEST(ShuffleWireTest, ExportImportRoundTripsRecords) {
       ASSERT_OK(src.AddTaskOutput(1, std::move(buf)));
     }
 
-    mr::Shuffle dst(/*num_map_tasks=*/2, pack);
+    FrameWriter w;
+    std::vector<size_t> record_ends;
     for (size_t ti = 0; ti < 2; ++ti) {
       src.ForEachTaskRecord(
           ti, [&](const mr::Shuffle::KeyEntry& e, const uint64_t* key_words,
                   const mr::Message* msgs, const uint64_t* payload_arena) {
-            std::vector<mr::Shuffle::ImportMessage> im(e.msg_count);
-            for (uint32_t i = 0; i < e.msg_count; ++i) {
-              im[i].tag = msgs[i].tag;
-              im[i].aux = msgs[i].aux;
-              im[i].payload_size = msgs[i].payload_size;
-              im[i].wire_bytes = msgs[i].wire_bytes;
-              im[i].payload = msgs[i].payload_words(payload_arena);
-            }
-            ASSERT_OK(dst.ImportTaskRecord(ti, key_words, e.key_arity,
-                                           e.fingerprint, e.wire_bytes,
-                                           im.data(), im.size()));
+            EncodeShuffleRecord(static_cast<uint32_t>(ti), e, key_words, msgs,
+                                payload_arena, &w);
+            record_ends.push_back(w.body_bytes());
           });
     }
+    const std::vector<uint8_t> frame = w.Finish(FrameType::kShuffleChunk, 0);
+    const std::vector<uint8_t> body(frame.begin() + kFrameHeaderBytes,
+                                    frame.end());
 
+    mr::Shuffle dst(/*num_map_tasks=*/2, pack);
+    ASSERT_OK(ImportChunk(body, &dst));
     for (size_t ti = 0; ti < 2; ++ti) {
       EXPECT_EQ(FlattenTask(src, ti), FlattenTask(dst, ti))
           << "task " << ti;
     }
+
+    for (size_t cut = 0; cut < body.size(); ++cut) {
+      mr::Shuffle partial(/*num_map_tasks=*/2, pack);
+      const Status s = ImportChunk(
+          std::vector<uint8_t>(body.begin(), body.begin() + cut), &partial);
+      const bool between_records =
+          cut == 0 || std::find(record_ends.begin(), record_ends.end(),
+                                cut) != record_ends.end();
+      if (between_records) {
+        EXPECT_OK(s) << "cut at " << cut;
+      } else {
+        EXPECT_EQ(s.code(), StatusCode::kParseError) << "cut at " << cut;
+      }
+    }
   }
+
+  // One record of task 0, key (5), claiming 2^32 - 1 messages with one
+  // message header's worth of bytes behind its key.
+  FrameWriter forged;
+  forged.U32(0);
+  forged.U32(1);
+  forged.U64(Tuple{Value::Int(5)}.Hash());
+  forged.F64(8.0);
+  forged.U32(0xFFFFFFFFu);
+  forged.U64(Value::Int(5).raw());
+  forged.U32(0);
+  forged.U32(0);
+  forged.U32(0);
+  forged.F64(0.0);
+  const std::vector<uint8_t> frame = forged.Finish(FrameType::kShuffleChunk, 0);
+  mr::Shuffle dst(/*num_map_tasks=*/2, /*pack_messages=*/true);
+  const Status s = ImportChunk(
+      std::vector<uint8_t>(frame.begin() + kFrameHeaderBytes, frame.end()),
+      &dst);
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
 }
 
 // ---- Transports -------------------------------------------------------------
