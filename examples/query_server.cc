@@ -7,7 +7,7 @@
 //   gumbo> Z := SELECT (x, y) FROM R(x, y, z, w) WHERE S(x) AND T(y);
 //   ... result sample + per-query metrics (plan cache hit, queue/plan/
 //       exec times) ...
-//   gumbo> \stats        aggregate service + plan/result-cache counters
+//   gumbo> \stats        aggregate service + query-cache counters
 //   gumbo> \rel          relations in the database
 //   gumbo> \addfact R 1 2 3 4     insert a fact through the write API —
 //                        cached results are delta-maintained (DESIGN.md
@@ -35,8 +35,7 @@ namespace {
 void PrintStats(const serve::QueryService& service) {
   const serve::ServiceStats s = service.Stats();
   std::printf(
-      "service: %llu submitted, %llu ok, %llu failed | fast lane %llu | "
-      "peak inflight %d\n"
+      "service: %llu submitted, %llu ok, %llu failed | peak inflight %d\n"
       "plans:   %llu built, %llu coalesced | cache %llu hits / %llu misses "
       "/ %llu invalidations / %llu entries\n"
       "latency: p50 %.1f ms  p95 %.1f ms  p99 %.1f ms | mean queue %.1f ms, "
@@ -45,8 +44,7 @@ void PrintStats(const serve::QueryService& service) {
       "retries, %llu injected\n",
       static_cast<unsigned long long>(s.submitted),
       static_cast<unsigned long long>(s.completed),
-      static_cast<unsigned long long>(s.failed),
-      static_cast<unsigned long long>(s.fast_lane), s.peak_inflight,
+      static_cast<unsigned long long>(s.failed), s.peak_inflight,
       static_cast<unsigned long long>(s.plans_built),
       static_cast<unsigned long long>(s.plan_coalesced),
       static_cast<unsigned long long>(s.cache.hits),
@@ -61,15 +59,10 @@ void PrintStats(const serve::QueryService& service) {
       static_cast<unsigned long long>(s.faults_injected));
   std::printf(
       "delta:   %llu result hits, %llu delta-maintained (%llu delta rows, "
-      "mean %.1f ms) | result cache %llu hits / %llu misses / %llu "
-      "invalidations / %llu entries\n",
+      "mean %.1f ms)\n",
       static_cast<unsigned long long>(s.result_hits),
       static_cast<unsigned long long>(s.delta_hits),
-      static_cast<unsigned long long>(s.delta_rows), s.mean_delta_ms,
-      static_cast<unsigned long long>(s.result_cache.hits),
-      static_cast<unsigned long long>(s.result_cache.misses),
-      static_cast<unsigned long long>(s.result_cache.invalidations),
-      static_cast<unsigned long long>(s.result_cache.entries));
+      static_cast<unsigned long long>(s.delta_rows), s.mean_delta_ms);
   std::printf("config (GUMBO_* knobs live in this process):\n%s",
               common::RuntimeConfig::Get().Describe().c_str());
 }

@@ -41,7 +41,7 @@ enum class FaultSite : int {
   kShuffleSort = 1, ///< a partition sort (mr/shuffle.cc)
   kReduceEmit = 2,  ///< a reduce task's morsel chain (mr/engine.cc)
   kPlanner = 3,     ///< a single-flight planning run (serve/service.cc)
-  kCache = 4,       ///< a plan-cache lookup (serve/service.cc)
+  kCache = 4,       ///< a query-cache lookup (serve/service.cc)
 };
 inline constexpr size_t kNumFaultSites = 5;
 

@@ -61,9 +61,9 @@ namespace gumbo {
 class CancelToken;
 class FaultInjector;
 
-/// Priority classes, highest first. The serving layer maps its admission
-/// lanes onto these (fast lane -> kHigh, FIFO -> kNormal; kLow is for
-/// background/maintenance work).
+/// Priority classes, highest first. A serving-layer query runs its
+/// morsels at its admission class (kHigh for interactive and small
+/// queries, kNormal by default, kLow for background/maintenance work).
 enum class SchedPriority : int { kHigh = 0, kNormal = 1, kLow = 2 };
 inline constexpr size_t kNumSchedPriorities = 3;
 

@@ -25,8 +25,9 @@ constexpr double kMbPerByte = 1.0 / (1024.0 * 1024.0);
 /// the one verification the frame gets — and checks the type; the
 /// returned reader borrows `bytes`. A kError frame arriving instead
 /// carries a peer's failure — it is decoded and propagated as this
-/// shard's own status, which is how one shard's local error unwinds the
-/// whole lock-step protocol without waiting out the transport timeout.
+/// shard's own status, which Execute passes on in turn: that is how one
+/// shard's error unwinds the whole lock-step protocol without any shard
+/// waiting out the transport timeout.
 Result<FrameReader> ExpectFrame(Transport* tp, int me, int from,
                                 FrameType want, std::vector<uint8_t>* bytes) {
   GUMBO_ASSIGN_OR_RETURN(*bytes, tp->Recv(me, from));
@@ -47,7 +48,8 @@ Result<FrameReader> ExpectFrame(Transport* tp, int me, int from,
 }
 
 /// Best-effort: tells every other shard this one failed, so their next
-/// ExpectFrame unwinds immediately instead of timing out.
+/// ExpectFrame unwinds immediately instead of timing out. Execute is the
+/// one caller.
 void BroadcastError(Transport* tp, int me, int shards, const Status& s) {
   for (int d = 0; d < shards; ++d) {
     if (d == me) continue;
@@ -70,12 +72,6 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   };
   const auto owned_red = [S, me](size_t p) {
     return static_cast<int>(p % static_cast<size_t>(S)) == me;
-  };
-  // A local failure past Prepare leaves peers blocked mid-protocol;
-  // broadcast it so they unwind (see ExpectFrame).
-  auto fail = [&](Status s) -> Status {
-    BroadcastError(tp, me, S, s);
-    return s;
   };
 
   GUMBO_ASSIGN_OR_RETURN(std::unique_ptr<mr::JobExecution> exec,
@@ -170,7 +166,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   }
 
   GUMBO_RETURN_IF_ERROR(exec->Partition(r));
-  if (Status s = exec->RunReduces(owned_red); !s.ok()) return fail(s);
+  GUMBO_RETURN_IF_ERROR(exec->RunReduces(owned_red));
   exec->AccountReduces(owned_red);
   exec->FinalizeCounters();
 
@@ -240,9 +236,9 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
       uint32_t p = 0;
       GUMBO_RETURN_IF_ERROR(frd.ReadU32(&p));
       if (p >= static_cast<uint32_t>(r)) {
-        return fail(Status::ParseError(
-            "dist: output fragment names partition " + std::to_string(p) +
-            " of " + std::to_string(r)));
+        return Status::ParseError("dist: output fragment names partition " +
+                                  std::to_string(p) + " of " +
+                                  std::to_string(r));
       }
       std::vector<RemoteFrag>& frags = remote[p];
       frags.resize(num_outputs);
@@ -265,7 +261,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     uint32_t n = 0;
     GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
     if (n != st.map_task_costs.size()) {
-      return fail(Status::ParseError("dist: map cost vector size mismatch"));
+      return Status::ParseError("dist: map cost vector size mismatch");
     }
     for (uint32_t i = 0; i < n; ++i) {
       double c = 0.0;
@@ -274,8 +270,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     }
     GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
     if (n != st.reduce_task_costs.size()) {
-      return fail(
-          Status::ParseError("dist: reduce cost vector size mismatch"));
+      return Status::ParseError("dist: reduce cost vector size mismatch");
     }
     for (uint32_t i = 0; i < n; ++i) {
       double c = 0.0;
@@ -284,7 +279,7 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
     }
     GUMBO_RETURN_IF_ERROR(srd.ReadU32(&n));
     if (n != st.inputs.size()) {
-      return fail(Status::ParseError("dist: input stats size mismatch"));
+      return Status::ParseError("dist: input stats size mismatch");
     }
     for (uint32_t i = 0; i < n; ++i) {
       double out_mb = 0.0, meta_mb = 0.0;
@@ -302,12 +297,12 @@ Result<mr::Engine::JobResult> ShardedRuntime::RunJob(const mr::JobSpec& job,
   // single-process Finish().
   if (std::abs(received_mb - st.shuffle_mb) >
       1e-6 * std::max(1.0, st.shuffle_mb)) {
-    return fail(Status::Internal(
+    return Status::Internal(
         "job " + job.name +
         ": sharded map-side and reduce-side shuffle accounting diverged "
         "(map " +
         std::to_string(st.shuffle_mb) + " MB, reduce " +
-        std::to_string(received_mb) + " MB)"));
+        std::to_string(received_mb) + " MB)");
   }
 
   mr::Engine::JobResult result;
@@ -355,7 +350,19 @@ Result<mr::ProgramStats> ShardedRuntime::Execute(const mr::Program& program,
         "dist: cluster of " + std::to_string(S) +
         " shards needs a transport with as many endpoints");
   }
+  // The protocol's one broadcast site: whatever status this shard fails
+  // with — its own error or one a peer sent it — goes to every other
+  // shard, so none is left blocked mid-protocol (see ExpectFrame).
+  Result<mr::ProgramStats> stats = RunRounds(program, db, ctx);
+  if (!stats.ok()) BroadcastError(tp, me, S, stats.status());
+  return stats;
+}
 
+Result<mr::ProgramStats> ShardedRuntime::RunRounds(
+    const mr::Program& program, Database* db, const SchedContext& ctx) const {
+  const int S = cluster_.num_shards;
+  const int me = cluster_.shard;
+  Transport* tp = cluster_.transport;
   using Clock = std::chrono::steady_clock;
   const Clock::time_point program_start = Clock::now();
   auto ms_since = [](Clock::time_point t0) {

@@ -63,6 +63,10 @@ class ShardedRuntime {
                                    const SchedContext& ctx = {}) const;
 
  private:
+  /// Execute's lock-step protocol over every round; Execute broadcasts
+  /// the status it fails with.
+  Result<mr::ProgramStats> RunRounds(const mr::Program& program, Database* db,
+                                     const SchedContext& ctx) const;
   Result<mr::Engine::JobResult> RunJob(const mr::JobSpec& job,
                                        const Database& db,
                                        const SchedContext& ctx,

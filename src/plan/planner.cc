@@ -610,17 +610,6 @@ Result<QueryPlan> Planner::Plan(const sgf::SgfQuery& query,
   return std::move(ctx.plan);
 }
 
-cost::SkewRegime QueryRegime(const sgf::SgfQuery& query, const Database& db) {
-  cost::SkewRegime regime = cost::SkewRegime::kUniform;
-  for (const sgf::BsgfQuery& q : query.subqueries()) {
-    const std::string& g = q.guard().relation();
-    if (!db.Contains(g)) continue;  // intermediate: inherits a base guard
-    const cost::SkewRegime r = cost::ClassifyKeySkew(*db.Get(g).value());
-    if (r > regime) regime = r;
-  }
-  return regime;
-}
-
 Result<StrategyChoice> ChoosePlan(const sgf::SgfQuery& query,
                                   const Database& db,
                                   const cost::ClusterConfig& config,

@@ -108,10 +108,6 @@ class Planner {
   PlannerOptions options_;
 };
 
-/// The dominant key-skew regime of a query against `db`: the most skewed
-/// regime among the base guard relations it reads.
-cost::SkewRegime QueryRegime(const sgf::SgfQuery& query, const Database& db);
-
 /// One candidate strategy's estimated outcome (ChoosePlan).
 struct StrategyCost {
   Strategy strategy = Strategy::kGreedy;

@@ -63,7 +63,7 @@ struct DeltaPlan {
 
 /// Decides whether the epoch movement from `cached_epochs` to
 /// `current_epochs` (both parallel to `names`, the sorted
-/// PlanCache::EpochNamesOf order) is delta-maintainable for `query` over
+/// serve::EpochNamesOf order) is delta-maintainable for `query` over
 /// `db`, and builds the guard slices if so.
 DeltaPlan PlanDelta(const sgf::SgfQuery& query, const Database& db,
                     const std::vector<std::string>& names,

@@ -11,8 +11,7 @@
 #include <cstdint>
 
 #include "common/scheduler.h"
-#include "serve/plan_cache.h"
-#include "serve/result_cache.h"
+#include "serve/query_cache.h"
 
 namespace gumbo::serve {
 
@@ -54,7 +53,6 @@ struct ServiceStats {
   uint64_t submitted = 0;   ///< Submit calls accepted into a queue
   uint64_t completed = 0;   ///< responses fulfilled with an OK status
   uint64_t failed = 0;      ///< responses fulfilled with an error status
-  uint64_t fast_lane = 0;   ///< queries admitted through the fast lane
   uint64_t rejected = 0;    ///< submissions refused (service shut down)
   // ---- Failure handling (DESIGN.md §11) ----
   uint64_t deadline_exceeded = 0;  ///< responses failed past their deadline
@@ -70,10 +68,12 @@ struct ServiceStats {
   uint64_t plan_coalesced = 0;
   /// Plans actually lowered by the planner (single-flight leaders and
   /// cache-off queries). Every successful query is exactly one of:
-  /// cache hit, coalesced wait, or plans_built.
+  /// result hit, delta hit, cache hit, coalesced wait, or plans_built.
   uint64_t plans_built = 0;
   int peak_inflight = 0;    ///< observed peak of concurrent executions
-  PlanCache::Counters cache;
+  /// The query cache's counters; hits and misses count only queries that
+  /// reach the plan path.
+  QueryCache::Counters cache;
   // ---- Incremental delta evaluation (DESIGN.md §12) ----
   /// Queries answered straight from the result cache (no execution).
   uint64_t result_hits = 0;
@@ -84,7 +84,6 @@ struct ServiceStats {
   uint64_t delta_rows = 0;
   /// Mean wall time of a delta maintenance pass (ms).
   double mean_delta_ms = 0.0;
-  ResultCache::Counters result_cache;
   // Latency quantiles (ms) over completed+failed queries, end to end
   // (submit -> response) and per phase.
   double total_p50_ms = 0.0;

@@ -1,20 +1,17 @@
-#include "serve/result_cache.h"
+#include "serve/query_cache.h"
 
 namespace gumbo::serve {
 
-std::shared_ptr<const ResultCache::Entry> ResultCache::Lookup(
+std::shared_ptr<const QueryCache::Entry> QueryCache::Lookup(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = slots_.find(key);
-  if (it == slots_.end()) {
-    ++counters_.misses;
-    return nullptr;
-  }
+  if (it == slots_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   return it->second.entry;
 }
 
-void ResultCache::Insert(const std::string& key, Entry entry) {
+void QueryCache::Insert(const std::string& key, Entry entry) {
   if (capacity_ == 0) return;
   auto shared = std::make_shared<const Entry>(std::move(entry));
   std::lock_guard<std::mutex> lock(mu_);
@@ -33,7 +30,7 @@ void ResultCache::Insert(const std::string& key, Entry entry) {
   slots_.emplace(key, Slot{std::move(shared), lru_.begin()});
 }
 
-void ResultCache::Invalidate(const std::string& key) {
+void QueryCache::Invalidate(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = slots_.find(key);
   if (it == slots_.end()) return;
@@ -42,27 +39,21 @@ void ResultCache::Invalidate(const std::string& key) {
   ++counters_.invalidations;
 }
 
-void ResultCache::NoteHit() {
+void QueryCache::NoteHit() {
   std::lock_guard<std::mutex> lock(mu_);
   ++counters_.hits;
 }
 
-void ResultCache::NoteDeltaHit() {
+void QueryCache::NoteMiss() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.delta_hits;
+  ++counters_.misses;
 }
 
-ResultCache::Counters ResultCache::counters() const {
+QueryCache::Counters QueryCache::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   Counters c = counters_;
   c.entries = slots_.size();  // gauge, derived here rather than tracked
   return c;
-}
-
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  slots_.clear();
-  lru_.clear();
 }
 
 }  // namespace gumbo::serve

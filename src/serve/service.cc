@@ -1,6 +1,8 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
+#include <tuple>
 
 #include "common/config.h"
 #include "serve/delta.h"
@@ -14,6 +16,23 @@ using Clock = std::chrono::steady_clock;
 
 double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+// Queries of at most this many atoms (guard + conditionals, summed over
+// subqueries) that the caller left at kNormal are admitted at kHigh, so
+// cheap interactive queries are not stuck behind analytical monsters.
+constexpr size_t kSmallQueryAtoms = 4;
+
+// Consecutive pops that may pass over lower-priority work before the
+// earliest-arrived such task is taken (QueryService::PopNext).
+constexpr size_t kMaxPassedOver = 3;
+
+size_t AtomCount(const sgf::SgfQuery& query) {
+  size_t atoms = 0;
+  for (const sgf::BsgfQuery& q : query.subqueries()) {
+    atoms += 1 + q.num_conditional_atoms();  // guard + conditionals
+  }
+  return atoms;
 }
 
 // Stable work-unit id for planner/cache fault sites: FNV-1a over the
@@ -40,7 +59,7 @@ ServiceOptions InstallCalibration(ServiceOptions options) {
 
 // Environment escape hatch for the delta layer (DESIGN.md §12):
 // GUMBO_DISABLE_DELTA=1 forces the result cache (and with it all delta
-// maintenance) off.
+// maintenance) off; the query cache then holds plans only.
 ServiceOptions ApplyDeltaEnv(ServiceOptions options) {
   if (common::RuntimeConfig::Get().disable_delta.value_or(false)) {
     options.result_cache = false;
@@ -58,8 +77,9 @@ QueryService::QueryService(const Database* db, ServiceOptions options,
       faults_(options_.faults != nullptr ? options_.faults : &env_faults_),
       engine_(options_.cluster, scheduler),
       planner_(options_.cluster, options_.planner),
-      cache_(options_.plan_cache ? options_.plan_cache_capacity : 0),
-      results_(options_.result_cache ? options_.result_cache_capacity : 0) {
+      cache_(options_.plan_cache || options_.result_cache
+                 ? options_.cache_capacity
+                 : 0) {
   const size_t n = options_.max_inflight > 0 ? options_.max_inflight : 1;
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -100,20 +120,16 @@ void QueryService::Shutdown() {
   cv_space_.notify_all();
 }
 
-size_t QueryService::AtomCount(const sgf::SgfQuery& query) {
-  size_t atoms = 0;
-  for (const sgf::BsgfQuery& q : query.subqueries()) {
-    atoms += 1 + q.num_conditional_atoms();  // guard + conditionals
-  }
-  return atoms;
-}
-
 std::future<Response> QueryService::Submit(sgf::SgfQuery query,
                                            QueryOptions qopts) {
   Task task;
   task.query = std::move(query);
   task.submitted = Clock::now();
   task.priority = qopts.priority;
+  if (task.priority == SchedPriority::kNormal &&
+      AtomCount(task.query) <= kSmallQueryAtoms) {
+    task.priority = SchedPriority::kHigh;
+  }
   std::future<Response> future = task.promise.get_future();
 
   // Deadline composition: the per-query budget and the service default
@@ -139,12 +155,6 @@ std::future<Response> QueryService::Submit(sgf::SgfQuery query,
                         static_cast<int64_t>(deadline_ms * 1e3));
   }
 
-  const bool fast =
-      qopts.priority == SchedPriority::kHigh ||
-      (options_.fast_lane_max_atoms > 0 &&
-       AtomCount(task.query) <= options_.fast_lane_max_atoms);
-  task.fast = fast;
-  if (fast) task.priority = SchedPriority::kHigh;
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Saturation shedding (DESIGN.md §11): at the watermark, background
@@ -154,8 +164,8 @@ std::future<Response> QueryService::Submit(sgf::SgfQuery query,
     const size_t watermark = options_.shed_watermark > 0
                                  ? options_.shed_watermark
                                  : options_.max_inflight + options_.max_queued;
-    const size_t load = fifo_.size() + fast_lane_.size() +
-                        static_cast<size_t>(inflight_.load());
+    const size_t load =
+        backlog_.size() + static_cast<size_t>(inflight_.load());
     if (!stopping_ && load >= watermark &&
         (qopts.priority == SchedPriority::kLow ||
          (task.deadline != Clock::time_point::max() &&
@@ -169,8 +179,7 @@ std::future<Response> QueryService::Submit(sgf::SgfQuery query,
       return future;
     }
     cv_space_.wait(lock, [&] {
-      return stopping_ ||
-             fifo_.size() + fast_lane_.size() < options_.max_queued;
+      return stopping_ || backlog_.size() < options_.max_queued;
     });
     if (stopping_) {
       ++rejected_;
@@ -180,12 +189,7 @@ std::future<Response> QueryService::Submit(sgf::SgfQuery query,
       return future;
     }
     ++submitted_;
-    if (fast) {
-      ++fast_lane_count_;
-      fast_lane_.push_back(std::move(task));
-    } else {
-      fifo_.push_back(std::move(task));
-    }
+    backlog_.push_back(std::move(task));
   }
   cv_work_.notify_one();
   return future;
@@ -195,17 +199,33 @@ Response QueryService::Run(sgf::SgfQuery query, QueryOptions qopts) {
   return Submit(std::move(query), qopts).get();
 }
 
-QueryService::Task QueryService::PopEdf(std::deque<Task>* q) {
-  // Earliest deadline first within the lane; deadline-free tasks sort
-  // last (time_point::max()) and ties keep queue order, so a deadline-
-  // free workload degenerates to plain FIFO. Linear scan: the backlog is
-  // bounded (max_queued) and dispatch is rare next to morsel work.
-  size_t best = 0;
-  for (size_t i = 1; i < q->size(); ++i) {
-    if ((*q)[i].deadline < (*q)[best].deadline) best = i;
+QueryService::Task QueryService::PopNext() {
+  // Linear scans of the arrival-ordered backlog: it is bounded
+  // (max_queued) and dispatch is rare next to morsel work. min_element
+  // keeps the first of equal elements, so ties resolve to arrival order;
+  // deadline-free tasks sort last in their class (time_point::max()), so
+  // a deadline-free single-class workload is plain FIFO.
+  auto pick = std::min_element(
+      backlog_.begin(), backlog_.end(), [](const Task& a, const Task& b) {
+        return std::tie(a.priority, a.deadline) <
+               std::tie(b.priority, b.deadline);
+      });
+  const auto below =
+      std::find_if(backlog_.begin(), backlog_.end(), [&](const Task& t) {
+        return t.priority > pick->priority;
+      });
+  if (below == backlog_.end()) {
+    passed_over_ = 0;
+  } else if (passed_over_ >= kMaxPassedOver) {
+    // Starvation bound: lower-priority work waits at most kMaxPassedOver
+    // dispatches of higher-priority work at a time.
+    pick = below;
+    passed_over_ = 0;
+  } else {
+    ++passed_over_;
   }
-  Task task = std::move((*q)[best]);
-  q->erase(q->begin() + static_cast<std::ptrdiff_t>(best));
+  Task task = std::move(*pick);
+  backlog_.erase(pick);
   return task;
 }
 
@@ -214,23 +234,9 @@ void QueryService::WorkerLoop() {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] {
-        return stopping_ || !fast_lane_.empty() || !fifo_.empty();
-      });
-      if (fast_lane_.empty() && fifo_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Fast lane first: small jobs jump the FIFO — but a FIFO task is
-      // taken after every kLaneBurst consecutive fast-lane dispatches,
-      // so a sustained small-query stream cannot starve the FIFO: its
-      // head waits at most kLaneBurst fast-lane queries per dispatch.
-      constexpr size_t kLaneBurst = 3;
-      const bool take_fifo =
-          fast_lane_.empty() || (!fifo_.empty() && lane_streak_ >= kLaneBurst);
-      std::deque<Task>& q = take_fifo ? fifo_ : fast_lane_;
-      lane_streak_ = take_fifo ? 0 : lane_streak_ + 1;
-      task = PopEdf(&q);
+      cv_work_.wait(lock, [&] { return stopping_ || !backlog_.empty(); });
+      if (backlog_.empty()) return;  // stopping, and the backlog drained
+      task = PopNext();
     }
     cv_space_.notify_one();
     Execute(std::move(task));
@@ -239,7 +245,8 @@ void QueryService::WorkerLoop() {
 
 Result<plan::PlanRef> QueryService::PlanSingleFlight(
     const sgf::SgfQuery& query, const std::string& key,
-    std::vector<uint64_t> epochs, bool use_cache, bool* coalesced) {
+    const std::vector<std::string>& names,
+    const std::vector<uint64_t>& epochs, bool use_cache, bool* coalesced) {
   *coalesced = false;
 
   // Single-flight: the first miss for a key becomes the leader and plans;
@@ -260,11 +267,14 @@ Result<plan::PlanRef> QueryService::PlanSingleFlight(
     } else {
       // No planning in flight — but a leader that finished between our
       // caller's cache miss and this point has already published its
-      // plan; re-check the cache before redundantly re-planning.
-      // (PlanCache never takes plan_mu_, so the nested lock is safe.)
+      // plan; re-check the cache before redundantly re-planning. Finding
+      // it counts a hit on top of this query's miss. (QueryCache never
+      // takes plan_mu_, so the nested lock is safe.)
       if (use_cache) {
-        if (plan::PlanRef cached = cache_.PeekAfterMiss(key, epochs)) {
-          return cached;
+        std::shared_ptr<const QueryCache::Entry> entry = cache_.Lookup(key);
+        if (entry != nullptr && entry->epochs == epochs) {
+          cache_.NoteHit();
+          return entry->plan;
         }
       }
       leader = true;
@@ -308,12 +318,12 @@ Result<plan::PlanRef> QueryService::PlanSingleFlight(
       task_retries_.fetch_add(1, std::memory_order_relaxed);
     }
   }();
-  // Publish to the cache BEFORE leaving the registry: combined with the
-  // registry-miss cache re-check above, a concurrent miss always sees
+  // Publish a plan-only entry BEFORE leaving the registry: combined with
+  // the registry-miss cache re-check above, a concurrent miss always sees
   // either the registry entry or the cached plan, never a planning gap.
   if (outcome.ok()) {
     plans_built_.fetch_add(1, std::memory_order_relaxed);
-    if (use_cache) cache_.Insert(key, std::move(epochs), *outcome);
+    if (use_cache) cache_.Insert(key, {names, epochs, *outcome, nullptr});
   }
   {
     std::lock_guard<std::mutex> lock(plan_mu_);
@@ -333,40 +343,49 @@ plan::ExecutionContext QueryService::ContextFor(
   return ctx;
 }
 
-bool QueryService::TryResultCache(const Task& task, const std::string& key,
-                                  const std::vector<std::string>& names,
-                                  const std::vector<uint64_t>& epochs,
-                                  Response* resp) {
-  std::shared_ptr<const ResultCache::Entry> entry = results_.Lookup(key);
+bool QueryService::LookupCache(const Task& task, const std::string& key,
+                               const std::vector<std::string>& names,
+                               const std::vector<uint64_t>& epochs,
+                               Response* resp, plan::PlanRef* plan) {
+  std::shared_ptr<const QueryCache::Entry> entry = cache_.Lookup(key);
   if (entry == nullptr) return false;
   if (entry->names != names) {
     // Signature collision safeguard: same key but different epoch-name
     // universe means the entry cannot be validated — drop it.
-    results_.Invalidate(key);
+    cache_.Invalidate(key);
     return false;
   }
 
   if (entry->epochs == epochs) {
+    if (entry->outputs == nullptr) {
+      // Plan hit: nothing moved and no outputs are stored — skip planning
+      // and execute the stored plan.
+      *plan = entry->plan;
+      return false;
+    }
     // Pure hit: nothing moved — the stored canonical outputs ARE the
     // answer, byte for byte. No planning, no execution.
-    results_.NoteHit();
     result_hits_.fetch_add(1, std::memory_order_relaxed);
     resp->outputs = *entry->outputs;
     resp->metrics.result_cache_hit = true;
     return true;
   }
 
+  if (entry->outputs == nullptr) {
+    cache_.Invalidate(key);  // a stale plan: re-plan against the new data
+    return false;
+  }
   DeltaPlan dp = PlanDelta(task.query, *db_, names, entry->epochs, epochs);
   if (!dp.eligible) {
     // Non-insert movement, an aged-out watermark, an insert under NOT, or
     // a slice the pass cannot take: the fallback table says invalidate
     // and recompute.
-    results_.Invalidate(key);
+    cache_.Invalidate(key);
     return false;
   }
   for (const std::string& out : entry->plan->outputs) {
     if (dp.dirty.count(out) > 0 && !entry->outputs->Contains(out)) {
-      results_.Invalidate(key);  // defensive: nothing to union into
+      cache_.Invalidate(key);  // defensive: nothing to union into
       return false;
     }
   }
@@ -415,13 +434,8 @@ bool QueryService::TryResultCache(const Task& task, const std::string& key,
 
   // Refresh the entry in place: replacement is atomic, concurrent readers
   // keep the snapshot they already hold.
-  ResultCache::Entry fresh;
-  fresh.names = names;
-  fresh.epochs = epochs;
-  fresh.plan = entry->plan;
-  fresh.outputs = std::make_shared<const Database>(resp->outputs);
-  results_.Insert(key, std::move(fresh));
-  results_.NoteDeltaHit();
+  cache_.Insert(key, {names, epochs, entry->plan,
+                      std::make_shared<const Database>(resp->outputs)});
   delta_hits_.fetch_add(1, std::memory_order_relaxed);
   delta_rows_.fetch_add(dp.delta_rows, std::memory_order_relaxed);
   delta_us_.fetch_add(static_cast<uint64_t>(delta_wall_ms * 1e3),
@@ -468,56 +482,46 @@ void QueryService::Execute(Task task) {
   const std::string key = PlanCacheKey(task.query, options_.planner);
 
   // Database read hold (DESIGN.md §12): epoch capture, cache routing,
-  // planning, execution, and the result-cache refresh all see one
-  // consistent base — AddFact writers wait for this hold to drain.
+  // planning, execution, and the cache refresh all see one consistent
+  // base — AddFact writers wait for this hold to drain.
   std::shared_lock<std::shared_mutex> db_lock(db_mu_);
+  const std::vector<std::string> names = EpochNamesOf(task.query);
+  const std::vector<uint64_t> epochs = EpochsOf(names, *db_);
 
   // Cache fault site (DESIGN.md §11): an injected fault degrades the
-  // lookup (result cache and plan cache alike) to a miss — the query
-  // re-plans and re-executes, staying correct; only the cached latency
-  // win is lost. The cache entries themselves are untouched.
+  // lookup to a miss — the query re-plans and re-executes, staying
+  // correct; only the cached latency win is lost. The cache entries
+  // themselves are untouched.
+  const bool caching = options_.plan_cache || options_.result_cache;
   const bool cache_faulted =
-      (options_.plan_cache || options_.result_cache) && faults_->active() &&
+      caching && faults_->active() &&
       faults_->ShouldFail(FaultSite::kCache, KeyUnit(key), /*attempt=*/0);
   if (cache_faulted) {
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // ---- Result cache: pure hit or delta maintenance (DESIGN.md §12) ----
+  // ---- One cache lookup: pure hit, delta pass, plan hit, or a miss ----
   bool result_done = false;
-  std::vector<std::string> epoch_names;
-  std::vector<uint64_t> epochs;
-  bool have_epochs = false;
-  if (resp.ok() && options_.result_cache) {
-    epoch_names = PlanCache::EpochNamesOf(task.query);
-    epochs.reserve(epoch_names.size());
-    for (const std::string& n : epoch_names) {
-      epochs.push_back(db_->StatsEpochOf(n));
-    }
-    have_epochs = true;
-    if (!cache_faulted) {
-      result_done = TryResultCache(task, key, epoch_names, epochs, &resp);
-    }
+  plan::PlanRef plan;
+  if (resp.ok() && caching && !cache_faulted) {
+    result_done = LookupCache(task, key, names, epochs, &resp, &plan);
   }
 
-  // ---- Plan: cache lookup keyed on signature + stats epochs ----
+  // ---- Plan: single-flight on a miss ----
   // The key is computed even with the cache off: single-flight planning
   // coalesces identical in-flight queries either way.
-  plan::PlanRef plan;
-  bool cache_hit = false;
+  const bool cache_hit = plan != nullptr;
   double plan_ms = 0.0;
   if (resp.ok() && !result_done) {
-    if (options_.plan_cache && !cache_faulted) {
-      if (!have_epochs) epochs = PlanCache::EpochsOf(task.query, *db_);
-      plan = cache_.Lookup(key, epochs);
-      cache_hit = plan != nullptr;
-    }
-    if (plan == nullptr) {
+    const bool use_cache = options_.plan_cache && !cache_faulted;
+    if (cache_hit) {
+      cache_.NoteHit();
+    } else {
+      if (use_cache) cache_.NoteMiss();
       const Clock::time_point plan_start = Clock::now();
       bool coalesced = false;
-      Result<plan::PlanRef> planned =
-          PlanSingleFlight(task.query, key, epochs,
-                           options_.plan_cache && !cache_faulted, &coalesced);
+      Result<plan::PlanRef> planned = PlanSingleFlight(
+          task.query, key, names, epochs, use_cache, &coalesced);
       plan_ms = MsSince(plan_start);
       if (coalesced) plan_coalesced_.fetch_add(1, std::memory_order_relaxed);
       if (!planned.ok()) {
@@ -532,9 +536,9 @@ void QueryService::Execute(Task task) {
   }
 
   // ---- Execute against the shared snapshot via a private overlay ----
-  // Admission lane -> morsel priority (DESIGN.md §9): fast-lane queries
-  // execute at kHigh, so their morsels overtake normal-priority backlogs
-  // inside the shared scheduler, not just the admission queue.
+  // Admission class -> morsel priority (DESIGN.md §9): kHigh queries'
+  // morsels overtake normal-priority backlogs inside the shared
+  // scheduler, not just the admission queue.
   double exec_ms = 0.0;
   double sched_wait_ms = 0.0;
   if (resp.ok() && !result_done) {
@@ -564,15 +568,11 @@ void QueryService::Execute(Task task) {
       // execution refine the shared store so later plannings estimate
       // better. Thread-safe; results are unaffected (estimates only).
       plan::CalibrateFromExecution(*plan, resp.stats, options_.calibration);
-      // Materialize into the result cache so the next lookup is a pure
-      // hit — or, after insert-only writes, a delta pass (DESIGN.md §12).
-      if (options_.result_cache && have_epochs && plan != nullptr) {
-        ResultCache::Entry entry;
-        entry.names = epoch_names;
-        entry.epochs = epochs;
-        entry.plan = plan;
-        entry.outputs = std::make_shared<const Database>(resp.outputs);
-        results_.Insert(key, std::move(entry));
+      // Materialize into the cache so the next lookup is a pure hit —
+      // or, after insert-only writes, a delta pass (DESIGN.md §12).
+      if (options_.result_cache) {
+        cache_.Insert(key, {names, epochs, plan,
+                            std::make_shared<const Database>(resp.outputs)});
       }
     }
   }
@@ -640,7 +640,6 @@ ServiceStats QueryService::Stats() const {
     s.submitted = submitted_;
     s.completed = completed_;
     s.failed = failed_;
-    s.fast_lane = fast_lane_count_;
     s.rejected = rejected_;
     s.deadline_exceeded = deadline_exceeded_;
     s.cancelled = cancelled_;
@@ -658,7 +657,6 @@ ServiceStats QueryService::Stats() const {
           ? 0.0
           : static_cast<double>(delta_us_.load(std::memory_order_relaxed)) /
                 1e3 / static_cast<double>(s.delta_hits);
-  s.result_cache = results_.counters();
   s.total_p50_ms = total_latency_.Percentile(0.50);
   s.total_p95_ms = total_latency_.Percentile(0.95);
   s.total_p99_ms = total_latency_.Percentile(0.99);

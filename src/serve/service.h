@@ -3,37 +3,36 @@
 //
 // Many callers submit SGF queries concurrently; the service runs them
 // through
-//   (a) an admission scheduler — a bounded-backlog FIFO with a small-job
-//       fast lane, drained by max_inflight worker threads that execute
-//       admitted queries simultaneously on the shared morsel scheduler.
-//       The admission lanes map onto scheduler priority classes
-//       (DESIGN.md §9): fast-lane queries run their morsels at kHigh, so
-//       a small query's morsels preempt — at morsel granularity — the
-//       backlog of a running analytical monster instead of queueing
-//       behind whole phases of it;
-//   (b) a plan cache — canonicalized query signature + database stats
-//       epochs -> lowered immutable QueryPlan, so a repeated (or
-//       alpha-renamed) query skips planning, sampling, and grouping
-//       entirely (serve/plan_cache.h). Concurrent misses for the same
-//       key are coalesced (single-flight): one worker plans, the rest
-//       wait for its result instead of stampeding the planner with
-//       redundant sampling runs. Coalescing applies with the cache off
-//       too — identical in-flight queries share one planning run even
-//       when nothing is ever stored.
-//
-//   (c) a result cache + delta evaluation layer (DESIGN.md §12) — plan
-//       cache key -> materialized canonical outputs, validated against
-//       the same stats epochs. A repeat query over unchanged data is a
-//       *pure hit* (the stored outputs are the answer; no execution); a
-//       repeat after inserts into relations it reads only positively,
-//       guard or conditional, is *delta-maintained*: the cached plan
-//       re-runs with each base guard shadowed by the slice of its rows
-//       that are new or newly qualify (serve/delta.h; empty when nothing
-//       its subqueries read moved), and cached ∪ pass output refreshes
-//       the cache entry. Any other movement (destructive writes, inserts
-//       under NOT, slices a nested program cannot take) invalidates the
-//       entry (and the plan cache entry) exactly as before.
-//       GUMBO_DISABLE_DELTA=1 forces this layer off.
+//   (a) an admission queue — one bounded backlog drained by max_inflight
+//       worker threads in (priority, deadline, arrival) order, which
+//       execute admitted queries simultaneously on the shared morsel
+//       scheduler. A query's priority is also its morsel class (DESIGN.md
+//       §9), and a small query (at most 4 atoms) left at kNormal is
+//       raised to kHigh, so its morsels preempt — at morsel granularity —
+//       the backlog of a running analytical monster instead of queueing
+//       behind whole phases of it. After three consecutive dispatches
+//       that passed over lower-priority work, the earliest-arrived such
+//       task goes next, so no class starves;
+//   (b) one query cache (serve/query_cache.h) — canonicalized query
+//       signature -> the lowered immutable QueryPlan and, with the result
+//       cache on, its materialized canonical outputs, validated against
+//       the stats epochs of every relation the query reads. One lookup
+//       classifies the entry: a *pure hit* (nothing moved: the stored
+//       outputs are the answer, no execution), a *plan hit* (nothing
+//       moved, no outputs stored: skip planning, sampling and grouping),
+//       a *delta pass* (inserts into relations the query reads only
+//       positively, guard or conditional: the cached plan re-runs with
+//       each base guard shadowed by the slice of its rows that are new or
+//       newly qualify — serve/delta.h — and cached ∪ pass output
+//       refreshes the entry), or anything else (destructive writes,
+//       inserts under NOT, slices a nested program cannot take): the
+//       entry is invalidated and the query re-plans. Concurrent misses
+//       for the same key are coalesced (single-flight): one worker plans,
+//       the rest wait for its result instead of stampeding the planner
+//       with redundant sampling runs. Coalescing applies with the cache
+//       off too — identical in-flight queries share one planning run even
+//       when nothing is ever stored. GUMBO_DISABLE_DELTA=1 turns the
+//       result cache (pure hits and delta passes) off.
 //
 // Every query executes against the same immutable base Database snapshot
 // through a private overlay (plan::ExecutePlanOnSnapshot), so results are
@@ -68,8 +67,7 @@
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "serve/metrics.h"
-#include "serve/plan_cache.h"
-#include "serve/result_cache.h"
+#include "serve/query_cache.h"
 
 namespace gumbo::serve {
 
@@ -82,25 +80,18 @@ struct ServiceOptions {
   /// (closed-loop callers self-throttle; open-loop callers feel
   /// backpressure instead of growing an unbounded queue).
   size_t max_queued = 1024;
-  /// Queries whose total atom count (guard + conditionals, summed over
-  /// subqueries) is <= this threshold are admitted through the fast lane:
-  /// workers prefer it over the FIFO, so cheap interactive queries are
-  /// not stuck behind analytical monsters. 0 disables the fast lane.
-  /// Starvation-proof: after every few consecutive fast-lane dispatches
-  /// a FIFO task is taken regardless (see WorkerLoop), so the FIFO head
-  /// waits a bounded number of small queries even under a sustained
-  /// fast-lane stream.
-  size_t fast_lane_max_atoms = 4;
-  /// Plan cache switch + capacity (entries).
+  /// Plan cache switch: cached plans skip planning while their epochs
+  /// hold.
   bool plan_cache = true;
-  size_t plan_cache_capacity = 64;
   /// Result cache + incremental delta evaluation (DESIGN.md §12): cached
   /// query outputs are served without execution while their epochs hold,
   /// and maintained by a delta pass across insert-only writes instead of
   /// being recomputed. Off = every epoch movement invalidates (the
   /// pre-delta behavior). Forced off by GUMBO_DISABLE_DELTA=1.
   bool result_cache = true;
-  size_t result_cache_capacity = 32;
+  /// Entries of the one query cache both switches above store into; each
+  /// holds a plan and, with the result cache on, its outputs.
+  size_t cache_capacity = 32;
   plan::PlannerOptions planner;
   cost::ClusterConfig cluster;
   /// Optional calibration feedback loop (DESIGN.md §10): when set, every
@@ -140,10 +131,10 @@ struct QueryOptions {
   /// kDeadlineExceeded — dropped before execution if still queued, or
   /// cooperatively cancelled at the next morsel boundary if in flight.
   double deadline_ms = 0.0;
-  /// Admission class. kHigh behaves like the fast lane (jump the FIFO,
-  /// morsels at kHigh); kLow is background work the service sheds first
-  /// under saturation. Queries the fast-lane heuristic admits are
-  /// promoted to kHigh regardless.
+  /// Admission class, and the morsel class the query executes at. kHigh
+  /// queries leave the backlog before kNormal ones, kNormal before kLow;
+  /// kLow is background work the service sheds first under saturation.
+  /// A small query (at most 4 atoms) left at kNormal runs at kHigh.
   SchedPriority priority = SchedPriority::kNormal;
   /// Optional caller-owned cancellation token: Cancel() stops the query
   /// cooperatively whether it is still queued or already executing (the
@@ -228,17 +219,13 @@ class QueryService {
   ServiceStats Stats() const;
 
   const ServiceOptions& options() const { return options_; }
-  const PlanCache& plan_cache() const { return cache_; }
-  const ResultCache& result_cache() const { return results_; }
 
  private:
   struct Task {
     sgf::SgfQuery query;
     std::promise<Response> promise;
     std::chrono::steady_clock::time_point submitted;
-    /// Admitted through the fast lane -> morsels run at kHigh priority.
-    bool fast = false;
-    /// Morsel priority class of this query's execution.
+    /// Admission class and morsel priority of this query's execution.
     SchedPriority priority = SchedPriority::kNormal;
     /// The token the whole stack polls: the caller's when one was
     /// supplied, otherwise `owned` (created only when a deadline is
@@ -252,29 +239,33 @@ class QueryService {
 
   void WorkerLoop();
   void Execute(Task task);
-  /// Pops the next task from `q` in earliest-deadline-first order
-  /// (deadline ties resolve to queue order). Caller holds mu_.
-  static Task PopEdf(std::deque<Task>* q);
-  static size_t AtomCount(const sgf::SgfQuery& query);
+  /// Removes and returns the backlog's next task: the minimum of
+  /// (priority, deadline, arrival), except that after three consecutive
+  /// pops that passed over lower-priority work the earliest-arrived task
+  /// below the top queued class goes. Caller holds mu_.
+  Task PopNext();
 
   /// Plans `query` (or waits for a concurrent planning of the same key —
-  /// single-flight). `use_cache` additionally publishes the result to /
-  /// re-checks the plan cache; coalescing itself only needs the key, so
-  /// identical concurrent queries share one planning run either way.
+  /// single-flight). `use_cache` additionally re-checks the query cache
+  /// and publishes the plan to it as a plan-only entry; coalescing itself
+  /// only needs the key, so identical concurrent queries share one
+  /// planning run either way.
   Result<plan::PlanRef> PlanSingleFlight(const sgf::SgfQuery& query,
                                          const std::string& key,
-                                         std::vector<uint64_t> epochs,
+                                         const std::vector<std::string>& names,
+                                         const std::vector<uint64_t>& epochs,
                                          bool use_cache, bool* coalesced);
 
-  /// Result-cache front door (DESIGN.md §12): pure hit, delta pass, or
-  /// invalidation for `key` at the current `epochs`. Returns true when
-  /// `resp` is final (hit or delta — including a delta pass that failed,
-  /// e.g. cancelled mid-run); false = fall through to plan + execute.
-  /// Caller holds the read half of db_mu_.
-  bool TryResultCache(const Task& task, const std::string& key,
-                      const std::vector<std::string>& names,
-                      const std::vector<uint64_t>& epochs,
-                      Response* resp);
+  /// The one cache lookup for `key` at the current `epochs`, classified:
+  /// a pure hit or a delta pass fills `resp` and returns true (a delta
+  /// pass that failed, e.g. cancelled mid-run, included); a plan hit sets
+  /// `*plan` and returns false; anything else invalidates the entry and
+  /// returns false with `*plan` null, so the caller plans. Caller holds
+  /// the read half of db_mu_.
+  bool LookupCache(const Task& task, const std::string& key,
+                   const std::vector<std::string>& names,
+                   const std::vector<uint64_t>& epochs, Response* resp,
+                   plan::PlanRef* plan);
 
   /// The context every execution of `task` runs under — its priority,
   /// cancel token and the active fault plan — with `metrics` as the
@@ -293,9 +284,8 @@ class QueryService {
   const FaultInjector* faults_;
   mr::Engine engine_;
   plan::Planner planner_;
-  PlanCache cache_;
-  ResultCache results_;
-  /// Readers = query executions (epoch capture through result-cache
+  QueryCache cache_;
+  /// Readers = query executions (epoch capture through cache
   /// refresh happens under one shared hold, so a write never interleaves
   /// with an execution's snapshot); writer = AddFact.
   mutable std::shared_mutex db_mu_;
@@ -303,11 +293,11 @@ class QueryService {
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   ///< workers wait for backlog items
   std::condition_variable cv_space_;  ///< submitters wait for backlog room
-  std::deque<Task> fifo_;
-  std::deque<Task> fast_lane_;
-  /// Consecutive fast-lane dispatches since the last FIFO dispatch
-  /// (anti-starvation bookkeeping, see WorkerLoop).
-  size_t lane_streak_ = 0;
+  /// The admission queue, in arrival order.
+  std::deque<Task> backlog_;
+  /// Consecutive pops that passed over lower-priority work (PopNext's
+  /// starvation bound).
+  size_t passed_over_ = 0;
   bool stopping_ = false;
 
   // Single-flight planning registry: key -> the shared outcome of the
@@ -319,7 +309,6 @@ class QueryService {
   uint64_t submitted_ = 0;
   uint64_t completed_ = 0;
   uint64_t failed_ = 0;
-  uint64_t fast_lane_count_ = 0;
   uint64_t rejected_ = 0;
   uint64_t deadline_exceeded_ = 0;
   uint64_t cancelled_ = 0;

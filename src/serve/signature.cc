@@ -1,5 +1,6 @@
 #include "serve/signature.h"
 
+#include <algorithm>
 #include <map>
 
 #include "common/str_util.h"
@@ -98,6 +99,26 @@ std::string PlannerFingerprint(const plan::PlannerOptions& options) {
 std::string PlanCacheKey(const sgf::SgfQuery& query,
                          const plan::PlannerOptions& options) {
   return PlannerFingerprint(options) + "\n" + CanonicalQuerySignature(query);
+}
+
+std::vector<std::string> EpochNamesOf(const sgf::SgfQuery& query) {
+  // Sorted and deduplicated, so the vector is independent of mention
+  // order. Produced names are included too: they normally do not exist in
+  // the base database (epoch 0), but if a caller pre-populated one, its
+  // mutations must invalidate just like a base relation's.
+  std::vector<std::string> names = query.BaseRelations();
+  for (const std::string& n : query.ProducedNames()) names.push_back(n);
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
+
+std::vector<uint64_t> EpochsOf(const std::vector<std::string>& names,
+                               const Database& db) {
+  std::vector<uint64_t> epochs;
+  epochs.reserve(names.size());
+  for (const std::string& n : names) epochs.push_back(db.StatsEpochOf(n));
+  return epochs;
 }
 
 }  // namespace gumbo::serve

@@ -1,5 +1,5 @@
-// Canonical query signatures for the serving-layer plan cache
-// (DESIGN.md §8).
+// Canonical query signatures and stats-epoch vectors for the
+// serving-layer query cache (DESIGN.md §8).
 //
 // Two queries that are alpha-equivalent — identical up to a consistent
 // renaming of their (per-subquery-scoped) variables — lower to the same
@@ -11,8 +11,11 @@
 #ifndef GUMBO_SERVE_SIGNATURE_H_
 #define GUMBO_SERVE_SIGNATURE_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "common/relation.h"
 #include "plan/planner.h"
 #include "sgf/sgf.h"
 
@@ -32,6 +35,17 @@ std::string PlannerFingerprint(const plan::PlannerOptions& options);
 /// The full plan-cache key: CanonicalQuerySignature + PlannerFingerprint.
 std::string PlanCacheKey(const sgf::SgfQuery& query,
                          const plan::PlannerOptions& options);
+
+/// The relation names whose epochs validate a cache entry for `query`:
+/// every name the query mentions (base relations AND produced names —
+/// produced names shadow base relations if present), sorted and
+/// deduplicated.
+std::vector<std::string> EpochNamesOf(const sgf::SgfQuery& query);
+
+/// The stats epoch of each of `names` (an EpochNamesOf vector) in `db`,
+/// in that order: the epoch vector a cache entry must match.
+std::vector<uint64_t> EpochsOf(const std::vector<std::string>& names,
+                               const Database& db);
 
 }  // namespace gumbo::serve
 

@@ -3,11 +3,11 @@
 // deterministic FaultInjector, task retry (fault-injected executions
 // stay byte-identical to fault-free runs at every worker count; retry
 // exhaustion surfaces as a typed retryable error), and the
-// QueryService's deadline/cancel/shed behavior: EDF dequeueing, load
-// shedding under saturation, prompt dropping of cancelled queued work,
-// cache hygiene around cancelled queries, and single-flight planning
-// error propagation (the leader's planner error reaches every coalesced
-// follower — no hang, including through service destruction).
+// QueryService's deadline/cancel/shed behavior: EDF dequeueing, priority
+// order, load shedding under saturation, prompt dropping of cancelled
+// queued work, cache hygiene around cancelled queries, and single-flight
+// planning error propagation (the leader's planner error reaches every
+// coalesced follower — no hang, including through service destruction).
 #include <chrono>
 #include <future>
 #include <memory>
@@ -30,6 +30,7 @@ namespace {
 
 using ::gumbo::testing::MakeRelation;
 using ::gumbo::testing::ParseSgfOrDie;
+using ::gumbo::testing::SlowBlocker;
 
 // Same shape as tests/serve_test.cc: 4-ary guard R, unary conditionals
 // S, T, U, V.
@@ -50,21 +51,6 @@ const char* kQueryA1 =
     "Z := SELECT (x, y, z, w) FROM R(x, y, z, w) "
     "WHERE S(x) AND T(y) AND U(z) AND V(w);";
 const char* kQuerySmall = "Z := SELECT x FROM R(x, y, z, w) WHERE S(x);";
-
-// A 17-atom query whose GREEDY grouping plans for tens of ms — long
-// enough that everything submitted behind it is reliably still queued
-// (the same blocker tests/serve_test.cc uses).
-sgf::SgfQuery SlowBlocker() {
-  std::string cond;
-  for (const char* r : {"S", "T", "U", "V"}) {
-    for (const char* v : {"x", "y", "z", "w"}) {
-      if (!cond.empty()) cond += " AND ";
-      cond += std::string(r) + "(" + v + ")";
-    }
-  }
-  return ParseSgfOrDie(
-      "Z := SELECT (x, y, z, w) FROM R(x, y, z, w) WHERE " + cond + ";");
-}
 
 // A tiny simulated cluster so a generated relation splits into many map
 // tasks / reduce partitions — many distinct fault units per execution.
@@ -491,7 +477,6 @@ TEST(ServiceShedTest, SaturationShedsLowPriorityNotTheBacklog) {
   Database db = MakeTestDb(300);
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
-  opts.fast_lane_max_atoms = 0;  // everything through the FIFO
   opts.shed_watermark = 1;       // saturated as soon as anything is in
   serve::QueryService service(&db, opts);
 
@@ -521,7 +506,6 @@ TEST(ServiceEdfTest, EarlierDeadlineJumpsTheQueue) {
   Database db = MakeTestDb(300);
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
-  opts.fast_lane_max_atoms = 0;
   serve::QueryService service(&db, opts);
 
   // Occupy the single worker, then queue A (loose deadline) before B
@@ -547,11 +531,34 @@ TEST(ServiceEdfTest, EarlierDeadlineJumpsTheQueue) {
   EXPECT_LT(rb.metrics.queue_ms, ra.metrics.queue_ms);
 }
 
+// A small query is raised to kHigh only when the caller left it at
+// kNormal: a 2-atom kLow query queued behind an earlier 5-atom kNormal
+// one leaves the backlog after it, so it spends longer queued.
+TEST(ServicePriorityTest, SmallLowPriorityQueryStaysBehindNormalWork) {
+  Database db = MakeTestDb(300);
+  serve::ServiceOptions opts;
+  opts.max_inflight = 1;
+  serve::QueryService service(&db, opts);
+
+  auto blocker = service.Submit(SlowBlocker());
+  while (service.Stats().peak_inflight < 1) std::this_thread::yield();
+  auto normal = service.Submit(ParseSgfOrDie(kQueryA1));
+  serve::QueryOptions low;
+  low.priority = SchedPriority::kLow;
+  auto small = service.Submit(ParseSgfOrDie(kQuerySmall), low);
+
+  ASSERT_OK(blocker.get().status);
+  const serve::Response rn = normal.get();
+  const serve::Response rs = small.get();
+  ASSERT_OK(rn.status);
+  ASSERT_OK(rs.status);
+  EXPECT_GT(rs.metrics.queue_ms, rn.metrics.queue_ms);
+}
+
 TEST(ServiceCancelTest, CancelledQueuedQueryDropsPromptly) {
   Database db = MakeTestDb(300);
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
-  opts.fast_lane_max_atoms = 0;
   serve::QueryService service(&db, opts);
 
   auto blocker = service.Submit(SlowBlocker());

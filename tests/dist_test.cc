@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -674,6 +676,74 @@ TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
   for (int s = 0; s < shards; ++s) {
     ASSERT_TRUE(results[s].has_value()) << "shard " << s;
     EXPECT_EQ(*results[s], reference) << "shard " << s;
+  }
+}
+
+// An in-process transport whose shard 1 fails its first Send, with every
+// Recv capped at 20 s: a shard left waiting on the failed peer shows up
+// as a late DeadlineExceeded instead of the injected status.
+class FailFirstSendTransport : public Transport {
+ public:
+  explicit FailFirstSendTransport(int endpoints) : inner_(endpoints) {}
+
+  Status Send(int from, int to, std::vector<uint8_t> frame) override {
+    if (from == 1 && !failed_.exchange(true)) {
+      return Status::Unavailable("injected send failure");
+    }
+    return inner_.Send(from, to, std::move(frame));
+  }
+  Result<std::vector<uint8_t>> Recv(int to, int from,
+                                    int timeout_ms) override {
+    return inner_.Recv(to, from, std::min(timeout_ms, 20000));
+  }
+  int endpoints() const override { return inner_.endpoints(); }
+  const char* name() const override { return "fail-first-send"; }
+
+ private:
+  InProcTransport inner_;
+  std::atomic<bool> failed_{false};
+};
+
+// One shard's failure reaches every peer as a kError frame: each shard
+// returns the injected status itself, well inside the Recv timeout —
+// including, at 3 shards, the one that was waiting on the coordinator
+// rather than on the failed shard.
+TEST(ShardedTest, FailingShardUnwindsEveryPeerPromptly) {
+  auto w = SmallWorkload("A1");
+  ASSERT_OK(w);
+  const cost::ClusterConfig config = TestCluster();
+  plan::Planner planner(config, plan::PlannerOptions{});
+  auto plan = planner.Plan(w->query, w->db);
+  ASSERT_OK(plan);
+  mr::Engine engine(config);
+  for (const int shards : {2, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    FailFirstSendTransport tp(shards);
+    std::vector<Status> status(shards, Status::Ok());
+    std::vector<double> elapsed_ms(shards, 0.0);
+    std::vector<std::thread> threads;
+    for (int s = 0; s < shards; ++s) {
+      threads.emplace_back([&, s] {
+        Cluster cluster{&tp, s, shards};
+        plan::ExecutionContext ectx;
+        ectx.cluster = &cluster;
+        Database outputs;
+        const auto start = std::chrono::steady_clock::now();
+        status[s] = plan::ExecutePlanOnSnapshot(*plan, &engine, w->db,
+                                                &outputs, ectx)
+                        .status();
+        elapsed_ms[s] = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_EQ(status[s].code(), StatusCode::kUnavailable)
+          << "shard " << s << ": " << status[s].ToString();
+      EXPECT_EQ(status[s].message(), "injected send failure") << "shard " << s;
+      EXPECT_LT(elapsed_ms[s], 5000.0) << "shard " << s;
+    }
   }
 }
 

@@ -684,21 +684,6 @@ TEST(CalibrationPlanTest, EveryPlanCarriesJobEstimates) {
   }
 }
 
-TEST(CalibrationPlanTest, QueryRegimeFollowsTheGuard) {
-  const sgf::SgfQuery query = ParseSgfOrDie(kSkewQuery);
-  data::GeneratorConfig g = SmallData();
-  g.tuples = 4000;  // enough rows for a stable skew classification
-  data::Generator gen(g);
-  Database uniform;
-  uniform.Put(gen.Guard("G", 3));
-  for (const char* c : {"S", "T", "U"}) uniform.Put(gen.Conditional(c, 1));
-  EXPECT_EQ(QueryRegime(query, uniform), cost::SkewRegime::kUniform);
-  Database heavy;
-  heavy.Put(gen.ZipfGuard("G", 3, 1.5));
-  for (const char* c : {"S", "T", "U"}) heavy.Put(gen.Conditional(c, 1));
-  EXPECT_EQ(QueryRegime(query, heavy), cost::SkewRegime::kHeavy);
-}
-
 TEST(CalibrationPlanTest, CalibrateFromExecutionFillsTheStore) {
   const sgf::SgfQuery query = ParseSgfOrDie(kSkewQuery);
   const Database db = SkewDb(1.2, true);

@@ -1,9 +1,10 @@
 // Tests for the serving layer (DESIGN.md §8): canonical signatures,
-// database stats epochs, snapshot execution, the plan cache
-// (hit / miss / alpha-renaming / invalidation / eviction), and the
-// QueryService's admission scheduler — including the central determinism
-// claim: N-thread concurrent submission produces results byte-identical
-// to sequential solo execution.
+// database stats epochs, snapshot execution, the query cache's plan
+// entries (hit / miss / alpha-renaming / invalidation / eviction) and
+// result entries (pure hits, delta passes), and the QueryService's
+// admission queue — including the central determinism claim: N-thread
+// concurrent submission produces results byte-identical to sequential
+// solo execution.
 #include <cstdlib>
 #include <functional>
 #include <future>
@@ -19,7 +20,6 @@
 #include "plan/executor.h"
 #include "plan/planner.h"
 #include "serve/delta.h"
-#include "serve/plan_cache.h"
 #include "serve/service.h"
 #include "serve/signature.h"
 #include "sgf/naive_eval.h"
@@ -30,6 +30,7 @@ namespace {
 
 using ::gumbo::testing::MakeRelation;
 using ::gumbo::testing::ParseSgfOrDie;
+using ::gumbo::testing::SlowBlocker;
 
 // A small generated database serving every query in this file: 4-ary
 // guard R, unary conditionals S, T, U, V.
@@ -312,7 +313,7 @@ TEST(PlanCacheTest, HitOnIdenticalAndAlphaRenamedQueries) {
   ASSERT_OK(other.status);
   EXPECT_FALSE(other.metrics.plan_cache_hit);
 
-  const serve::PlanCache::Counters c = service.plan_cache().counters();
+  const serve::QueryCache::Counters c = service.Stats().cache;
   EXPECT_EQ(c.hits, 2u);
   EXPECT_EQ(c.misses, 2u);
   EXPECT_EQ(c.invalidations, 0u);
@@ -344,7 +345,7 @@ TEST(PlanCacheTest, InvalidationOnStatsEpochBump) {
   serve::Response after = service.Run(ParseSgfOrDie(kQueryA1));
   ASSERT_OK(after.status);
   EXPECT_FALSE(after.metrics.plan_cache_hit);
-  EXPECT_EQ(service.plan_cache().counters().invalidations, 1u);
+  EXPECT_EQ(service.Stats().cache.invalidations, 1u);
 
   // The re-planned entry serves hits again.
   EXPECT_TRUE(service.Run(ParseSgfOrDie(kQueryA1)).metrics.plan_cache_hit);
@@ -363,21 +364,21 @@ TEST(PlanCacheTest, MutatingUnrelatedRelationDoesNotInvalidate) {
   t.PushBack(Value::Int(7));
   ASSERT_OK(db.AddFact("Unrelated", t));
   EXPECT_TRUE(service.Run(ParseSgfOrDie(kQueryA1)).metrics.plan_cache_hit);
-  EXPECT_EQ(service.plan_cache().counters().invalidations, 0u);
+  EXPECT_EQ(service.Stats().cache.invalidations, 0u);
 }
 
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
   Database db = MakeTestDb();
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
-  opts.plan_cache_capacity = 2;
+  opts.cache_capacity = 2;
   opts.result_cache = false;
   serve::QueryService service(&db, opts);
 
   ASSERT_OK(service.Run(ParseSgfOrDie(kQueryA1)).status);    // {A1}
   ASSERT_OK(service.Run(ParseSgfOrDie(kQueryA3)).status);    // {A1, A3}
   ASSERT_OK(service.Run(ParseSgfOrDie(kQuerySmall)).status); // evicts A1
-  EXPECT_EQ(service.plan_cache().counters().evictions, 1u);
+  EXPECT_EQ(service.Stats().cache.evictions, 1u);
   EXPECT_FALSE(service.Run(ParseSgfOrDie(kQueryA1)).metrics.plan_cache_hit);
 }
 
@@ -390,7 +391,7 @@ TEST(PlanCacheTest, DisabledCacheNeverHits) {
   serve::QueryService service(&db, opts);
   ASSERT_OK(service.Run(ParseSgfOrDie(kQueryA1)).status);
   EXPECT_FALSE(service.Run(ParseSgfOrDie(kQueryA1)).metrics.plan_cache_hit);
-  EXPECT_EQ(service.plan_cache().counters().hits, 0u);
+  EXPECT_EQ(service.Stats().cache.hits, 0u);
 }
 
 // Regression (plan::Metrics carry-over): every response derives its
@@ -478,7 +479,7 @@ TEST(ResultCacheTest, RepeatIsAPureHitByteIdentical) {
 
   const serve::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.result_hits, 1u);
-  EXPECT_EQ(stats.result_cache.hits, 1u);
+  EXPECT_EQ(stats.cache.hits, 0u);  // cache.* counts only the plan path
   EXPECT_EQ(stats.delta_hits, 0u);
 }
 
@@ -729,7 +730,6 @@ TEST(ResultCacheTest, DisableDeltaEnvKnobTurnsTheLayerOff) {
   EXPECT_FALSE(second.metrics.result_cache_hit);
   EXPECT_TRUE(second.metrics.plan_cache_hit);  // plan cache still works
   EXPECT_EQ(service.Stats().result_hits, 0u);
-  EXPECT_EQ(service.Stats().result_cache.hits, 0u);
 }
 
 TEST(ResultCacheTest, WriteApiRequiresMutableBase) {
@@ -791,10 +791,11 @@ TEST(ResultCacheTest, ConcurrentAddFactAndRunAreRaceFree) {
 serve::DeltaPlan DeltaAcross(const std::string& text, Database* db,
                              const std::function<void(Database*)>& mutate) {
   const sgf::SgfQuery query = ParseSgfOrDie(text);
-  const std::vector<uint64_t> before = serve::PlanCache::EpochsOf(query, *db);
+  const std::vector<std::string> names = serve::EpochNamesOf(query);
+  const std::vector<uint64_t> before = serve::EpochsOf(names, *db);
   mutate(db);
-  return serve::PlanDelta(query, *db, serve::PlanCache::EpochNamesOf(query),
-                          before, serve::PlanCache::EpochsOf(query, *db));
+  return serve::PlanDelta(query, *db, names, before,
+                          serve::EpochsOf(names, *db));
 }
 
 std::function<void(Database*)> Inserts(
@@ -875,8 +876,8 @@ TEST(PlanDeltaTest, AgedOutWatermarkFallsBack) {
 TEST(PlanDeltaTest, MismatchedEpochVectorsFallBack) {
   const Database db = MakeTestDb(50);
   const sgf::SgfQuery query = ParseSgfOrDie(kQueryA1);
-  const std::vector<std::string> names = serve::PlanCache::EpochNamesOf(query);
-  const std::vector<uint64_t> epochs = serve::PlanCache::EpochsOf(query, db);
+  const std::vector<std::string> names = serve::EpochNamesOf(query);
+  const std::vector<uint64_t> epochs = serve::EpochsOf(names, db);
   ExpectFallback(
       serve::PlanDelta(query, db, names, epochs,
                        std::vector<uint64_t>(epochs.begin(), epochs.end() - 1)),
@@ -1092,15 +1093,23 @@ TEST(ServiceTest, SubmitAfterShutdownIsRejected) {
 }
 
 TEST(ServiceTest, FastLaneRoutesSmallQueries) {
-  Database db = MakeTestDb(50);
+  // A 2-atom query left at kNormal is admitted at kHigh: queued behind an
+  // earlier 5-atom query, it still leaves the backlog first.
+  Database db = MakeTestDb(200);
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
-  opts.fast_lane_max_atoms = 2;
   serve::QueryService service(&db, opts);
-  ASSERT_OK(service.Run(ParseSgfOrDie(kQuerySmall)).status);  // 2 atoms
-  ASSERT_OK(service.Run(ParseSgfOrDie(kQueryA1)).status);     // 5 atoms
-  EXPECT_EQ(service.Stats().fast_lane, 1u);
-  EXPECT_EQ(service.Stats().submitted, 2u);
+  auto blocker = service.Submit(SlowBlocker());
+  while (service.Stats().peak_inflight < 1) std::this_thread::yield();
+  auto big = service.Submit(ParseSgfOrDie(kQueryA1));        // 5 atoms
+  auto small = service.Submit(ParseSgfOrDie(kQuerySmall));   // 2 atoms
+  ASSERT_OK(blocker.get().status);
+  const serve::Response rb = big.get();
+  const serve::Response rs = small.get();
+  ASSERT_OK(rb.status);
+  ASSERT_OK(rs.status);
+  EXPECT_LT(rs.metrics.queue_ms, rb.metrics.queue_ms);
+  EXPECT_EQ(service.Stats().submitted, 3u);
 }
 
 TEST(ServiceTest, ConcurrentSubmissionByteIdenticalToSequential) {
@@ -1194,7 +1203,6 @@ TEST(ServiceTest, FastLaneCannotStarveTheFifo) {
   Database db = MakeTestDb(200);
   serve::ServiceOptions opts;
   opts.max_inflight = 1;
-  opts.fast_lane_max_atoms = 2;
   serve::QueryService service(&db, opts);
 
   // 17 atoms -> FIFO; its GREEDY grouping plans for tens of ms, so the

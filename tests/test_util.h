@@ -40,6 +40,22 @@ inline sgf::SgfQuery ParseSgfOrDie(const std::string& text) {
   return std::move(r).value();
 }
 
+/// A 17-atom query over the serve tests' demo database (4-ary guard R,
+/// unary conditionals S, T, U, V) whose GREEDY grouping plans for tens of
+/// ms — long enough that everything submitted behind it on a one-worker
+/// QueryService is reliably still queued.
+inline sgf::SgfQuery SlowBlocker() {
+  std::string cond;
+  for (const char* r : {"S", "T", "U", "V"}) {
+    for (const char* v : {"x", "y", "z", "w"}) {
+      if (!cond.empty()) cond += " AND ";
+      cond += std::string(r) + "(" + v + ")";
+    }
+  }
+  return ParseSgfOrDie(
+      "Z := SELECT (x, y, z, w) FROM R(x, y, z, w) WHERE " + cond + ";");
+}
+
 /// Sorted-tuple view of a relation, for readable assertions.
 inline std::vector<std::vector<int64_t>> RowsOf(const Relation& rel) {
   Relation copy = rel;
