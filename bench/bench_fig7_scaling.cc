@@ -6,7 +6,7 @@
 //
 // --dist mode (DESIGN.md §13): instead of the cost-model sweep, spawns
 // N real worker processes (examples/worker) per workload over an
-// MmapTransport mailbox directory, verifies the coordinator's outputs
+// MmapTransport mailbox directory, verifies the outputs shard 0 publishes
 // byte-identical (words + fingerprints) to an in-process single-runtime
 // run, and reports the real wire bytes the shard protocol moved:
 //
@@ -254,7 +254,7 @@ int RunDistMode(bool smoke, const std::string& out_path,
   // dist_wire_mb exactly, so the inputs must be reproducible everywhere.
   const size_t tuples = smoke ? 2000 : 20000;
   const uint64_t seed = 42;
-  const std::vector<int> shard_counts = smoke ? std::vector<int>{3}
+  const std::vector<int> shard_counts = smoke ? std::vector<int>{2, 3}
                                               : std::vector<int>{2, 4};
   const std::vector<std::string> workloads = {"A1", "A3", "B1"};
 

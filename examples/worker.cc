@@ -11,11 +11,11 @@
 // Each process regenerates the workload from the seed (full replication
 // — no data distribution step), plans it with the same deterministic
 // planner, and executes it as shard K of N over an MmapTransport rooted
-// at --dir. The coordinator (shard 0) then writes each query output as a
-// kRelation wire frame to <dir>/out_<name>.rel and a metrics.json with
-// the merged stats — which is how bench_fig7_scaling --dist and
-// tests/dist_test.cc verify multi-process runs byte-identical to the
-// single-process runtime.
+// at --dir. Every shard ends with the same outputs and stats; shard 0
+// then writes each query output as a kRelation wire frame to
+// <dir>/out_<name>.rel and a metrics.json with the global stats — which
+// is how bench_fig7_scaling --dist and tests/dist_test.cc verify
+// multi-process runs byte-identical to the single-process runtime.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -147,9 +147,9 @@ int main(int argc, char** argv) {
   }
 
   if (args.shard == 0) {
-    // The coordinator's replica holds the authoritative outputs; publish
-    // them as wire frames so any process (the bench, the tests) can
-    // compare words + fingerprints without linking this binary.
+    // Every replica holds the same outputs; shard 0 publishes its copy
+    // as wire frames so any process (the bench, the tests) can compare
+    // words + fingerprints without linking this binary.
     for (const auto& q : workload->query.subqueries()) {
       auto rel = db.Get(q.output());
       if (!rel.ok()) {

@@ -68,6 +68,19 @@ void SortIndices(std::vector<T>* idx, Scheduler* scheduler,
 
 }  // namespace
 
+void RelationBuilder::AppendRaw(const uint8_t* words, const uint8_t* fps,
+                                size_t rows) {
+  if (rows == 0) return;  // the pointers may be null then; memcpy forbids that
+  const size_t at = fingerprints_.size();
+  words_.resize((at + rows) * arity_);
+  fingerprints_.resize(at + rows);
+  if (arity_ > 0) {
+    std::memcpy(words_.data() + at * arity_, words,
+                rows * arity_ * sizeof(uint64_t));
+  }
+  std::memcpy(fingerprints_.data() + at, fps, rows * sizeof(uint64_t));
+}
+
 void Relation::Adopt(RelationBuilder&& b) {
   assert(b.arity_ == arity_ && "builder arity mismatch");
   if (!b.empty()) {
@@ -105,16 +118,6 @@ void Relation::AppendFrom(const Relation& other) {
   words_.insert(words_.end(), other.words_.begin(), other.words_.end());
   fingerprints_.insert(fingerprints_.end(), other.fingerprints_.begin(),
                        other.fingerprints_.end());
-  ++append_version_;
-}
-
-void Relation::AppendRaw(const uint64_t* words, const uint64_t* fps,
-                         size_t rows) {
-  if (rows == 0) return;
-  assert(fps[0] == TupleFingerprint(words, arity_) &&
-         "AppendRaw fed a fingerprint that does not match its row");
-  words_.insert(words_.end(), words, words + rows * arity_);
-  fingerprints_.insert(fingerprints_.end(), fps, fps + rows);
   ++append_version_;
 }
 

@@ -50,8 +50,9 @@ class RowView : public TupleView {
 };
 
 /// Accumulates flat rows of one fixed arity — the reduce-side emission
-/// target (mr/engine.cc): reducers append encoded words + fingerprint
-/// here, and the finished builder is adopted by a Relation arena-wholesale
+/// target (mr/engine.cc) and the wire's row-block decode target
+/// (src/dist/wire.h): reducers append encoded words + fingerprint here,
+/// and the finished builder is adopted by a Relation arena-wholesale
 /// instead of tuple-by-tuple.
 class RelationBuilder {
  public:
@@ -79,9 +80,17 @@ class RelationBuilder {
     AddWords(row.words());
   }
 
-  /// Raw word bytes currently buffered (bookkeeping for adopt-time
-  /// accounting).
-  size_t WordBytes() const { return words_.size() * sizeof(uint64_t); }
+  /// Appends `rows` rows straight from raw, possibly unaligned bytes —
+  /// rows × arity() words, then one stored fingerprint per row — copied
+  /// verbatim and NEVER re-hashed, so fingerprints decoded from a wire
+  /// frame (src/dist/wire.h) survive round-trips bit-for-bit. The caller
+  /// vouches that each fingerprint matches its row
+  /// (dist::DecodeRowBlock spot-checks the first).
+  void AppendRaw(const uint8_t* words, const uint8_t* fps, size_t rows);
+
+  /// The flat word arena (size() * arity() words) and the fingerprints.
+  const std::vector<uint64_t>& words() const { return words_; }
+  const std::vector<uint64_t>& fingerprints() const { return fingerprints_; }
 
  private:
   friend class Relation;
@@ -119,12 +128,6 @@ class Relation {
   void AddUnchecked(const Tuple& t) {
     assert(t.size() == arity_);
     AddWords(t.raw_words());
-  }
-
-  /// Appends a borrowed flat row. Asserts the arity in debug builds.
-  void AddView(TupleView row) {
-    assert(row.size() == arity_);
-    AddWords(row.words());
   }
 
   /// Flat hot path: appends one row of `arity()` raw words straight into
@@ -210,14 +213,6 @@ class Relation {
   /// half of incremental maintenance (DESIGN.md §12); callers wanting set
   /// semantics follow with SortAndDedupe.
   void AppendFrom(const Relation& other);
-
-  /// Bulk-appends `rows` rows from raw arenas: `words` (rows * arity()
-  /// flat words) and `fps` (one stored fingerprint per row) are copied
-  /// verbatim — NEVER re-hashed, so fingerprints decoded from a wire
-  /// frame (src/dist/wire.h) survive round-trips bit-for-bit. The caller
-  /// vouches that fps[i] == TupleFingerprint(row i) — debug builds spot-
-  /// check the first row.
-  void AppendRaw(const uint64_t* words, const uint64_t* fps, size_t rows);
 
   /// Bumped every time rows are appended (AddWords/Adopt/AppendFrom).
   /// Together with shape_version(), lets Database::SettleLoans classify

@@ -36,12 +36,7 @@ std::string TablePrinter::Render() const {
   sep += "\n";
 
   std::string out = sep + render_row(header_) + sep;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    for (size_t s : separators_) {
-      if (s == i) out += sep;
-    }
-    out += render_row(rows_[i]);
-  }
+  for (const std::vector<std::string>& row : rows_) out += render_row(row);
   out += sep;
   return out;
 }

@@ -20,15 +20,11 @@ class TablePrinter {
 
   void AddRow(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
 
-  /// Adds a horizontal separator line at the current position.
-  void AddSeparator() { separators_.push_back(rows_.size()); }
-
   std::string Render() const;
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<size_t> separators_;
 };
 
 }  // namespace gumbo

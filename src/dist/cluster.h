@@ -13,10 +13,6 @@ struct Cluster {
   Transport* transport = nullptr;
   int shard = 0;
   int num_shards = 1;
-
-  /// Shard 0 coordinates: it sums worker stats, chooses reducer counts,
-  /// assembles outputs, and broadcasts round commits.
-  bool coordinator() const { return shard == 0; }
 };
 
 }  // namespace gumbo::dist

@@ -7,11 +7,6 @@ namespace gumbo::dist {
 
 namespace {
 
-void Put(FrameWriter* w, uint64_t v) { w->U64(v); }
-void Put(FrameWriter* w, double v) { w->F64(v); }
-Status Get(FrameReader* r, uint64_t* v) { return r->ReadU64(v); }
-Status Get(FrameReader* r, double* v) { return r->ReadF64(v); }
-
 /// Unaligned little-endian field access into frame bytes.
 template <typename T>
 T Load(const uint8_t* p) {
@@ -168,38 +163,41 @@ Status FrameReader::ReadStr(std::string* s) {
   return Status::Ok();
 }
 
-Status FrameReader::ReadWords(size_t n, std::vector<uint64_t>* out) {
-  if (n > remaining() / sizeof(uint64_t)) {
-    return Status::ParseError("wire: " + std::to_string(n) +
-                              " words claimed, " +
-                              std::to_string(remaining()) +
-                              " body bytes left");
-  }
-  out->resize(n);
-  return Read(out->data(), n * sizeof(uint64_t));
+void EncodeRowBlock(const std::vector<uint64_t>& words,
+                    const std::vector<uint64_t>& fingerprints,
+                    FrameWriter* w) {
+  w->U64(fingerprints.size());
+  w->Words(words.data(), words.size());
+  w->Words(fingerprints.data(), fingerprints.size());
 }
 
-void EncodeRowBlock(const Relation& rel, FrameWriter* w) {
-  w->U64(rel.size());
-  w->Words(rel.words().data(), rel.words().size());
-  w->Words(rel.fingerprints().data(), rel.fingerprints().size());
-}
-
-Status DecodeRowBlock(FrameReader* r, uint32_t arity, uint64_t* rows,
-                      std::vector<uint64_t>* words,
-                      std::vector<uint64_t>* fingerprints) {
-  GUMBO_RETURN_IF_ERROR(r->ReadU64(rows));
+Status DecodeRowBlock(FrameReader* r, RelationBuilder* into) {
+  uint64_t rows = 0;
+  GUMBO_RETURN_IF_ERROR(r->ReadU64(&rows));
   // Each row is `arity` words plus its fingerprint; dividing the budget
   // instead of multiplying the claim keeps a forged count from wrapping.
-  const uint64_t row_words = uint64_t{arity} + 1;
-  if (*rows > r->remaining() / sizeof(uint64_t) / row_words) {
+  const uint64_t arity = into->arity();
+  if (rows > r->remaining() / sizeof(uint64_t) / (arity + 1)) {
     return Status::ParseError(
-        "wire: row block claims " + std::to_string(*rows) + " rows of arity " +
+        "wire: row block claims " + std::to_string(rows) + " rows of arity " +
         std::to_string(arity) + ", " + std::to_string(r->remaining()) +
         " body bytes left");
   }
-  GUMBO_RETURN_IF_ERROR(r->ReadWords(*rows * arity, words));
-  return r->ReadWords(*rows, fingerprints);
+  const uint8_t* words = nullptr;
+  const uint8_t* fps = nullptr;
+  GUMBO_RETURN_IF_ERROR(r->ReadBytes(rows * arity * sizeof(uint64_t), &words));
+  GUMBO_RETURN_IF_ERROR(r->ReadBytes(rows * sizeof(uint64_t), &fps));
+  const size_t at = into->size();
+  into->AppendRaw(words, fps, rows);
+  // Spot-check the first row: a stored fingerprint that is not its row's
+  // hash would silently misroute every later lookup of the row.
+  if (rows > 0 && into->fingerprints()[at] !=
+                      TupleFingerprint(into->words().data() + at * arity,
+                                       static_cast<uint32_t>(arity))) {
+    return Status::ParseError(
+        "wire: row block's first fingerprint does not match its row");
+  }
+  return Status::Ok();
 }
 
 void EncodeRelationBody(const Relation& rel, FrameWriter* w) {
@@ -207,7 +205,7 @@ void EncodeRelationBody(const Relation& rel, FrameWriter* w) {
   w->U32(rel.arity());
   w->F64(rel.bytes_per_tuple());
   w->F64(rel.representation_scale());
-  EncodeRowBlock(rel, w);
+  EncodeRowBlock(rel.words(), rel.fingerprints(), w);
 }
 
 std::vector<uint8_t> EncodeRelationFrame(const Relation& rel,
@@ -222,19 +220,16 @@ Result<Relation> DecodeRelationBody(FrameReader* r) {
   uint32_t arity = 0;
   double bytes_per_tuple = 0.0;
   double scale = 1.0;
-  uint64_t rows = 0;
   GUMBO_RETURN_IF_ERROR(r->ReadStr(&name));
   GUMBO_RETURN_IF_ERROR(r->ReadU32(&arity));
   GUMBO_RETURN_IF_ERROR(r->ReadF64(&bytes_per_tuple));
   GUMBO_RETURN_IF_ERROR(r->ReadF64(&scale));
-  std::vector<uint64_t> words;
-  std::vector<uint64_t> fps;
-  GUMBO_RETURN_IF_ERROR(DecodeRowBlock(r, arity, &rows, &words, &fps));
+  RelationBuilder rows(arity);
+  GUMBO_RETURN_IF_ERROR(DecodeRowBlock(r, &rows));
   Relation rel(name, arity);
   if (bytes_per_tuple > 0.0) rel.set_bytes_per_tuple(bytes_per_tuple);
   rel.set_representation_scale(scale);
-  rel.Reserve(rows);
-  rel.AppendRaw(words.data(), fps.data(), rows);
+  rel.Adopt(std::move(rows));  // the arenas move; no row is copied again
   return rel;
 }
 
@@ -304,18 +299,6 @@ Status DecodeShuffleChunk(FrameReader* r, mr::Shuffle* into) {
                                                  msgs.data(), msgs.size()));
   }
   return Status::Ok();
-}
-
-void EncodeJobCounters(const mr::JobCounters& c, FrameWriter* w) {
-  mr::JobCounters::ForEachField([&](auto field) { Put(w, c.*field); });
-}
-
-Status DecodeJobCounters(FrameReader* r, mr::JobCounters* c) {
-  Status s;
-  mr::JobCounters::ForEachField([&](auto field) {
-    if (s.ok()) s = Get(r, &(c->*field));
-  });
-  return s;
 }
 
 std::vector<uint8_t> EncodeErrorFrame(const Status& s, uint32_t src_shard) {

@@ -32,9 +32,21 @@
 //                  wire_bytes f64 | msg_count u32 | key_arity key words |
 //                  msg_count × (tag u32 | aux u32 | payload_size u32 |
 //                               wire_bytes f64 | payload_size words)
-// A kShuffleChunk body is shuffle records back to back; a kCommit body is
-// a u32 relation count and that many relations; a kOutputFragment body is
-// (partition u32, one row block per job output) repeated.
+// Bodies of the shard protocol's frames (src/dist/sharded.cc), whose aux
+// is the program job index; "owned" means index % shards == src_shard:
+//   kMapStats      intermediate_mb f64 (of the sender's owned map tasks)
+//   kShuffleChunk  shuffle records back to back
+//   kEpilogue      sent_bytes u64 | task_retries u64 |
+//                  faults_injected u64 | retry_us u64 |
+//                  per owned map task, ascending: output_mb f64 |
+//                    metadata_mb f64 | wire_bytes f64 | records u64 |
+//                    messages u64 | fingerprint_collisions u64 |
+//                    filtered u64 |
+//                  per owned reduce partition, ascending: partition u32 |
+//                    shuffle_mb f64 | output_mb f64 |
+//                    one row block per job output
+//   kError         code u32 | message str
+// A kRelation body is one relation (the worker binary's output files).
 //
 // Doubles (wire-byte accounting) ship as their IEEE-754 bit patterns, so
 // accounting survives the wire bit-for-bit too.
@@ -49,26 +61,25 @@
 #include "common/relation.h"
 #include "common/result.h"
 #include "mr/shuffle.h"
-#include "mr/stats.h"
 
 namespace gumbo::dist {
 
 inline constexpr uint32_t kWireMagic = 0x30424D47u;  // "GMB0" little-endian
 /// 2: kJobStats bodies open with the mr::JobCounters block.
 /// 3: the body checksum is XXH64 instead of FNV-1a; same layout.
-inline constexpr uint16_t kWireVersion = 3;
+/// 4: no coordinator. kEpilogue, sent to every peer, replaces kJobStats
+///    and kOutputFragment; kReduceAlloc and kCommit are gone.
+inline constexpr uint16_t kWireVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 32;
 
 /// Frame discriminators of the shard protocol (src/dist/sharded.cc).
+/// Values 2, 4, 5 and 6 belonged to frames of earlier versions.
 enum class FrameType : uint16_t {
-  kMapStats = 1,        ///< worker -> coordinator: owned intermediate MB
-  kReduceAlloc = 2,     ///< coordinator -> workers: global reducer count
-  kShuffleChunk = 3,    ///< shard -> shard: records for owned partitions
-  kJobStats = 4,        ///< worker -> coordinator: owned-subset job stats
-  kOutputFragment = 5,  ///< worker -> coordinator: owned partitions' rows
-  kCommit = 6,          ///< coordinator -> workers: round's committed relations
-  kError = 7,           ///< any -> any: abort the protocol with a Status
-  kRelation = 8,        ///< standalone: one whole relation (worker output)
+  kMapStats = 1,      ///< shard -> every peer: owned intermediate MB
+  kShuffleChunk = 3,  ///< shard -> shard: records for its partitions
+  kError = 7,         ///< any -> any: abort the protocol with a Status
+  kRelation = 8,      ///< standalone: one whole relation (worker output)
+  kEpilogue = 9,      ///< shard -> every peer: its units' records and rows
 };
 
 /// XXH64 (seed 0) over `size` bytes — the frame body checksum: four
@@ -134,9 +145,6 @@ class FrameReader {
   Status ReadU64(uint64_t* v) { return Read(v, sizeof(*v)); }
   Status ReadF64(double* v) { return Read(v, sizeof(*v)); }
   Status ReadStr(std::string* s);
-  /// Reads `n` flat words into `out` (resized to exactly `n`); a count
-  /// the remaining body cannot hold fails before `out` grows.
-  Status ReadWords(size_t n, std::vector<uint64_t>* out);
   /// Borrows the next `n` body bytes in place (unaligned; load them with
   /// memcpy) and advances past them.
   Status ReadBytes(size_t n, const uint8_t** bytes) {
@@ -170,25 +178,28 @@ class FrameReader {
   const uint8_t* end_ = nullptr;
 };
 
-/// Encodes / decodes a row block: the row count, then the rows' words and
-/// fingerprints verbatim (the tail of a relation body, and one job
-/// output's rows in a kOutputFragment body). The decoder checks the
-/// claimed count against the remaining body — and before rows × arity
-/// can wrap — so a forged count fails with ParseError, never allocates.
-void EncodeRowBlock(const Relation& rel, FrameWriter* w);
-Status DecodeRowBlock(FrameReader* r, uint32_t arity, uint64_t* rows,
-                      std::vector<uint64_t>* words,
-                      std::vector<uint64_t>* fingerprints);
+/// Encodes / decodes a row block: the row count, then the rows' words
+/// (`words`, row-major) and fingerprints verbatim — the tail of a
+/// relation body, and one job output's rows in a kEpilogue body. The
+/// decoder appends the rows to `into` (of the block's arity) straight
+/// from the frame bytes, one copy, fingerprints adopted verbatim
+/// (RelationBuilder::AppendRaw). It checks the claimed count against the
+/// remaining body — and before rows × arity can wrap — so a forged count
+/// fails with ParseError, never allocates; so does a first row whose
+/// fingerprint is not its hash.
+void EncodeRowBlock(const std::vector<uint64_t>& words,
+                    const std::vector<uint64_t>& fingerprints,
+                    FrameWriter* w);
+Status DecodeRowBlock(FrameReader* r, RelationBuilder* into);
 
 /// Encodes one whole relation — name, arity, size-accounting knobs, and
-/// the row block — as a kRelation body (the same layout kCommit embeds
-/// per relation).
+/// the row block — as a kRelation body.
 void EncodeRelationBody(const Relation& rel, FrameWriter* w);
 std::vector<uint8_t> EncodeRelationFrame(const Relation& rel,
                                          uint32_t src_shard);
 
 /// Decodes a relation encoded by EncodeRelationBody from `r`'s current
-/// position. Fingerprints are adopted verbatim (Relation::AppendRaw).
+/// position; its rows are copied once, from the frame into the arena.
 Result<Relation> DecodeRelationBody(FrameReader* r);
 
 /// Appends one shuffle record of map task `task` — the arguments of
@@ -204,12 +215,6 @@ void EncodeShuffleRecord(uint32_t task, const mr::Shuffle::KeyEntry& e,
 /// once; an out-of-range task or a message count the remaining body
 /// cannot hold fails with ParseError before anything is allocated for it.
 Status DecodeShuffleChunk(FrameReader* r, mr::Shuffle* into);
-
-/// Encodes / decodes the summed job counters of a kJobStats body: every
-/// mr::JobCounters field in ForEachField order, 8 bytes each (doubles as
-/// their bit patterns).
-void EncodeJobCounters(const mr::JobCounters& c, FrameWriter* w);
-Status DecodeJobCounters(FrameReader* r, mr::JobCounters* c);
 
 /// Encodes / decodes a Status as a kError body.
 std::vector<uint8_t> EncodeErrorFrame(const Status& s, uint32_t src_shard);

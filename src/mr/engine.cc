@@ -66,25 +66,8 @@ class BuilderReduceEmitter : public ReduceEmitter {
 
 }  // namespace
 
-/// Per-map-task shuffle accounting, filled by RunMaps.
-struct JobExecution::TaskIo {
-  double output_mb = 0.0;    // represented MB of intermediate data
-  double metadata_mb = 0.0;  // represented MB of per-record metadata
-  ShuffleTaskIo io;          // raw record/message counts
-  uint64_t filtered = 0;     // emissions suppressed by Bloom filters
-};
-
-/// Per-reduce-partition outputs + accounting, filled by RunReduces.
-struct JobExecution::ReduceOut {
-  std::vector<RelationBuilder> outputs;  // [output_index] -> flat rows
-  double shuffle_mb = 0.0;
-  double output_mb = 0.0;
-};
-
 JobExecution::JobExecution(const Engine& engine, const JobSpec& job)
     : engine_(engine), job_(job), shuffle_(0, job.pack_messages) {}
-
-JobExecution::~JobExecution() = default;
 
 Result<std::unique_ptr<JobExecution>> JobExecution::Prepare(
     const Engine& engine, const JobSpec& job, const Database& db,
@@ -324,12 +307,8 @@ Status JobExecution::RunMaps(const OwnedFn& owned) {
   return Status::Ok();
 }
 
-void JobExecution::AccountMaps(const OwnedFn& owned) {
-  // Per-input aggregates and per-task map costs, over the owned tasks
-  // only: unowned slots stay zero, so a coordinator reconstructs the
-  // global vectors by element-wise summing the shards' disjoint fills.
+void JobExecution::AccountMaps() {
   for (size_t ti = 0; ti < tasks_.size(); ++ti) {
-    if (!Owns(owned, ti)) continue;
     const MapTaskSpec& t = tasks_[ti];
     InputStats& is = stats_.inputs[t.input_index];
     is.output_mb += task_io_[ti].output_mb;
@@ -380,11 +359,11 @@ int JobExecution::ChooseReducers(double total_intermediate_mb,
   return r;
 }
 
-Status JobExecution::Partition(int num_reducers) {
+Status JobExecution::Partition(int num_reducers, const OwnedFn& owned) {
   stats_.num_reducers = num_reducers;
   red_.resize(static_cast<size_t>(num_reducers));
   return shuffle_.Partition(num_reducers, sched_ctx_.scheduler, sched_ctx_,
-                            max_retries_, &retry_counters_);
+                            max_retries_, &retry_counters_, owned);
 }
 
 Status JobExecution::RunReduces(const OwnedFn& owned) {
@@ -482,31 +461,15 @@ Status JobExecution::RunReduces(const OwnedFn& owned) {
   return Status::Ok();
 }
 
-void JobExecution::AccountReduces(const OwnedFn& owned) {
+void JobExecution::AccountReduces() {
   stats_.reduce_task_costs.resize(red_.size());
   for (size_t rj = 0; rj < red_.size(); ++rj) {
-    if (!Owns(owned, rj)) continue;
     stats_.reduce_task_costs[rj] =
         cost::ReduceCost(engine_.config().costs, red_[rj].shuffle_mb,
                          red_[rj].output_mb, /*num_reducers=*/1);
     stats_.hdfs_write_mb += red_[rj].output_mb;
     received_mb_ += red_[rj].shuffle_mb;
   }
-}
-
-void JobExecution::FinalizeCounters() {
-  stats_.task_retries =
-      retry_counters_.task_retries.load(std::memory_order_relaxed);
-  stats_.faults_injected =
-      retry_counters_.faults_injected.load(std::memory_order_relaxed);
-  stats_.retry_ms =
-      static_cast<double>(
-          retry_counters_.retry_us.load(std::memory_order_relaxed)) /
-      1000.0;
-}
-
-std::vector<RelationBuilder> JobExecution::TakeReduceOutputs(size_t rj) {
-  return std::move(red_[rj].outputs);
 }
 
 Result<Engine::JobResult> JobExecution::Finish() {
@@ -549,7 +512,14 @@ Result<Engine::JobResult> JobExecution::Finish() {
     result.outputs.push_back(std::move(out));
   }
 
-  FinalizeCounters();
+  stats_.task_retries =
+      retry_counters_.task_retries.load(std::memory_order_relaxed);
+  stats_.faults_injected =
+      retry_counters_.faults_injected.load(std::memory_order_relaxed);
+  stats_.retry_ms =
+      static_cast<double>(
+          retry_counters_.retry_us.load(std::memory_order_relaxed)) /
+      1000.0;
   result.stats = std::move(stats_);
   return result;
 }

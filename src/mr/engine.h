@@ -28,7 +28,6 @@
 #ifndef GUMBO_MR_ENGINE_H_
 #define GUMBO_MR_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,11 +51,6 @@ struct MapTaskSpec {
   size_t end = 0;
   double input_mb = 0.0;
 };
-
-/// Ownership predicate over map-task / reduce-partition indices: an
-/// execution only runs (and accounts) the units the predicate accepts.
-/// Empty = owns everything (single-process execution).
-using OwnedFn = std::function<bool(size_t)>;
 
 class Engine {
  public:
@@ -103,20 +97,40 @@ class Engine {
 
 /// One job execution broken into resumable phases, so a caller can
 /// interpose between them. RunDetached drives the whole sequence in one
-/// process; the sharded runtime (src/dist/sharded.h) runs one
-/// JobExecution per shard, restricts RunMaps/RunReduces to the units
-/// that shard owns, and exchanges shuffle partitions / reducer counts /
-/// output fragments over a Transport between the phases.
+/// process. The sharded runtime (src/dist/sharded.h) runs one
+/// JobExecution per shard: it restricts RunMaps, Partition and
+/// RunReduces to the units that shard owns, exchanges reducer counts and
+/// shuffle records between the phases, and fills the other shards'
+/// units (task_io, reduce_out, retry counts) from their epilogues before
+/// it accounts every unit and calls Finish.
 ///
 /// Phase order (each at most once):
-///   Prepare -> RunMaps(owned) -> AccountMaps(owned)
-///     -> ChooseReducers(...) -> [shuffle export/import] -> Partition(r)
-///     -> RunReduces(owned) -> AccountReduces(owned) -> Finish()
+///   Prepare -> RunMaps(owned) -> ChooseReducers(...)
+///     -> [shuffle export/import] -> Partition(r, owned)
+///     -> RunReduces(owned) -> [import the other shards' units]
+///     -> AccountMaps() -> AccountReduces() -> Finish()
+/// AccountMaps reads only the map tasks' records, so one process may call
+/// it right after RunMaps.
 ///
 /// The engine, job spec, and database passed to Prepare must outlive
 /// the JobExecution; nothing may mutate the database meanwhile.
 class JobExecution {
  public:
+  /// What one map task's run leaves for AccountMaps.
+  struct TaskIo {
+    double output_mb = 0.0;    ///< represented MB of intermediate data
+    double metadata_mb = 0.0;  ///< represented MB of per-record metadata
+    ShuffleTaskIo io;          ///< raw record/message counts
+    uint64_t filtered = 0;     ///< emissions suppressed by Bloom filters
+  };
+
+  /// What one reduce partition's run leaves for AccountReduces and Finish.
+  struct ReduceOut {
+    std::vector<RelationBuilder> outputs;  ///< [output_index] -> flat rows
+    double shuffle_mb = 0.0;  ///< represented MB the partition received
+    double output_mb = 0.0;   ///< represented MB the partition wrote
+  };
+
   /// Validates the job, resolves inputs against `db`, plans the map
   /// tasks, builds Bloom filters, and initializes the stats skeleton.
   /// `ctx`'s scheduler field is ignored (the engine's wins).
@@ -124,25 +138,21 @@ class JobExecution {
       const Engine& engine, const JobSpec& job, const Database& db,
       const SchedContext& ctx);
 
-  ~JobExecution();  // out-of-line: nested accounting structs are private
-
   /// The global map-task decomposition — identical on every shard.
   const std::vector<MapTaskSpec>& tasks() const { return tasks_; }
-
-  /// Representation scale shared by all of this job's inputs.
-  double scale() const { return scale_; }
 
   /// Sum of input_mb over ALL map tasks (not just owned ones); a pure
   /// function of the task list, so every shard agrees without exchange.
   double TotalInputMb() const;
 
-  /// Runs the owned map tasks as morsel chains, feeding the shuffle.
+  /// Runs the owned map tasks as morsel chains, feeding the shuffle and
+  /// filling their task_io records.
   Status RunMaps(const OwnedFn& owned = {});
 
-  /// Accounts the owned map tasks into stats(): per-task costs, per-input
-  /// I/O aggregates, hdfs_read_mb, shuffle_mb, and the shuffle counters.
-  /// Unowned cost slots stay zero so shard stats merge by element-wise sum.
-  void AccountMaps(const OwnedFn& owned = {});
+  /// Accounts every map task's record into the stats: per-task costs,
+  /// per-input I/O aggregates, hdfs_read_mb, shuffle_mb, and the shuffle
+  /// counters — in task order, so any shard count sums alike.
+  void AccountMaps();
 
   /// Intermediate (shuffle) MB produced by the owned map tasks. Shards
   /// exchange these sums to agree on the global reducer count.
@@ -157,42 +167,36 @@ class JobExecution {
   /// Shuffle over it before calling Partition.
   Shuffle& shuffle() { return shuffle_; }
 
-  /// Hash-partitions the shuffle into `num_reducers` partitions.
-  Status Partition(int num_reducers);
+  /// Hash-partitions the shuffle into `num_reducers` partitions and
+  /// sorts the owned ones.
+  Status Partition(int num_reducers, const OwnedFn& owned = {});
 
-  /// Runs the owned reduce partitions as morsel chains.
+  /// Runs the owned reduce partitions as morsel chains, filling their
+  /// reduce_out records.
   Status RunReduces(const OwnedFn& owned = {});
 
-  /// Accounts the owned reduce partitions into stats(): per-partition
-  /// costs, hdfs_write_mb, and the received-MB tally that Finish()
-  /// reconciles against shuffle_mb.
-  void AccountReduces(const OwnedFn& owned = {});
+  /// Accounts every reduce partition's record into the stats:
+  /// per-partition costs, hdfs_write_mb, and the received-MB tally that
+  /// Finish() reconciles against shuffle_mb.
+  void AccountReduces();
 
-  /// MB received by the owned reduce partitions (valid after
-  /// AccountReduces); shards ship this for the global reconciliation.
-  double ReceivedMb() const { return received_mb_; }
+  /// Map task `ti`'s record. RunMaps fills the owned ones; the sharded
+  /// runtime fills the rest from the shards that ran them.
+  TaskIo& task_io(size_t ti) { return task_io_[ti]; }
+  /// Reduce partition `rj`'s record (after Partition). RunReduces fills
+  /// the owned ones; the sharded runtime fills the rest, rows included.
+  ReduceOut& reduce_out(size_t rj) { return red_[rj]; }
+  /// The job's live retry counters. A shard ships its own and adds its
+  /// peers' before Finish snapshots them into the stats.
+  RetryCounters& retry_counters() { return retry_counters_; }
 
-  /// Snapshots the live retry counters into stats(). Finish() does this
-  /// itself; a shard calls it before shipping its stats frame.
-  void FinalizeCounters();
-
-  /// Moves partition `rj`'s output builders out (one per declared
-  /// output). Sharded execution encodes these as output-fragment
-  /// frames instead of calling Finish().
-  std::vector<RelationBuilder> TakeReduceOutputs(size_t rj);
-
-  /// Single-process epilogue: reconciles sent vs. received MB,
-  /// concatenates partition outputs in partition order, dedupes where
-  /// the spec asks, and returns the stats + relations.
+  /// The epilogue, and the one place a job's outputs are assembled:
+  /// reconciles sent vs. received MB, concatenates partition outputs in
+  /// partition order, dedupes where the spec asks, snapshots the retry
+  /// counters, and returns the stats + relations.
   Result<Engine::JobResult> Finish();
 
-  /// Mutable access for the sharded runtime's stats merge.
-  JobStats& stats() { return stats_; }
-
  private:
-  struct TaskIo;
-  struct ReduceOut;
-
   JobExecution(const Engine& engine, const JobSpec& job);
 
   const Engine& engine_;

@@ -38,9 +38,11 @@ namespace gumbo::mr {
 /// negative membership answer safe (docs/operators.md, "Filter rules").
 class BloomFilter {
  public:
-  /// Default target false-positive probability (ops::OpOptions can
-  /// override per plan).
-  static constexpr double kDefaultFpp = 0.01;
+  /// Target false-positive probability of every operator's key filters.
+  /// 5% (~6.2 bits/key) balances filter broadcast bytes against the
+  /// shuffled bytes saved at the paper's 100M-key relations; DESIGN.md
+  /// §5.2 gives the sizing math and §5.3 the broadcast accounting.
+  static constexpr double kDefaultFpp = 0.05;
 
   /// An empty filter: contains nothing, occupies no bytes.
   BloomFilter() = default;

@@ -81,19 +81,6 @@ class MapOutputBuffer {
   /// must agree with the engine's accounting.
   void AccountWire(bool packed, double* wire_bytes, size_t* records) const;
 
-  /// Visits every emission in original emission order:
-  /// `fn(key_words, key_arity, fingerprint, message, payload_arena)`.
-  /// Used by diagnostics and the shuffle microbenchmark to replay a
-  /// recorded stream; not on the engine's hot path.
-  template <class Fn>
-  void ForEachEmission(Fn fn) const {
-    for (size_t mi = 0; mi < messages_.size(); ++mi) {
-      const Group& g = groups_[group_of_[mi]];
-      fn(key_arena_.data() + g.key_pos, g.key_arity, g.fingerprint,
-         messages_[mi], payload_arena_.data());
-    }
-  }
-
  private:
   friend class Shuffle;
 

@@ -64,13 +64,22 @@ Result<ProgramStats> Runtime::Execute(const Program& program, Database* db,
       int seen = peak.load();
       while (cur > seen && !peak.compare_exchange_weak(seen, cur)) {
       }
-      results[k] = engine_->RunDetached(program.job(round[k]), *db, ctx);
+      const JobSpec& job = program.job(round[k]);
+      results[k] = run_job_ ? run_job_(job, round[k], *db, ctx)
+                            : engine_->RunDetached(job, *db, ctx);
       in_flight.fetch_sub(1);
     };
-    // One ticket per job at the query's priority; each job then chains
-    // its own map/reduce morsels (nested groups — the waiter helps, so
-    // this nests without deadlock on any worker count).
-    engine_->scheduler().ParallelFor(round.size(), run_one, ctx);
+    if (run_job_) {
+      for (size_t k = 0; k < round.size(); ++k) {
+        run_one(k);
+        if (!results[k]->ok()) return results[k]->status();
+      }
+    } else {
+      // One ticket per job at the query's priority; each job then chains
+      // its own map/reduce morsels (nested groups — the waiter helps, so
+      // this nests without deadlock on any worker count).
+      engine_->scheduler().ParallelFor(round.size(), run_one, ctx);
+    }
 
     // A failing round commits nothing; the first failure (by job index)
     // wins deterministically.

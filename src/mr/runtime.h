@@ -15,12 +15,19 @@
 //   4. per-round metrics (job set, observed peak concurrency, wall
 //      clock) are recorded in ProgramStats.
 //
+// The sharded runtime (src/dist/sharded.h) reuses this loop, its barrier
+// and its epilogue: it passes in only how a round's jobs run — one at a
+// time, in index order, through its shard protocol — and every shard
+// commits its own replica here.
+//
 // The modeled clock is unchanged: net_time still comes from the
 // slot-constrained cluster simulation (mr/program.h), which overlaps
 // independent jobs the same way the real concurrent execution does.
 #ifndef GUMBO_MR_RUNTIME_H_
 #define GUMBO_MR_RUNTIME_H_
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/relation.h"
@@ -33,7 +40,18 @@ namespace gumbo::mr {
 
 class Runtime {
  public:
+  /// Runs job `index` of a program against a read-only `db` without
+  /// committing its outputs — Engine::RunDetached's contract.
+  using JobRunner = std::function<Result<Engine::JobResult>(
+      const JobSpec& job, size_t index, const Database& db,
+      const SchedContext& ctx)>;
+
+  /// Runs each round's jobs concurrently through Engine::RunDetached.
   explicit Runtime(Engine* engine) : engine_(engine) {}
+  /// Runs each round's jobs one at a time, in index order, through
+  /// `run_job`, stopping at the first failure.
+  Runtime(Engine* engine, JobRunner run_job)
+      : engine_(engine), run_job_(std::move(run_job)) {}
 
   /// The round structure of `program`: round k holds every job whose
   /// longest dependency chain has length k. Jobs within a round are
@@ -51,6 +69,7 @@ class Runtime {
 
  private:
   Engine* engine_;
+  JobRunner run_job_;  ///< empty = concurrent RunDetached
 };
 
 }  // namespace gumbo::mr

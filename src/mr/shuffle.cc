@@ -208,7 +208,7 @@ bool Shuffle::KeyEquals(const RecordRef& a, const RecordRef& b) const {
 
 Status Shuffle::Partition(int num_partitions, Scheduler* scheduler,
                           const SchedContext& ctx, uint32_t max_retries,
-                          RetryCounters* counters) {
+                          RetryCounters* counters, const OwnedFn& owned) {
   if (num_partitions <= 0) {
     return Status::Internal("shuffle: non-positive reduce partition count " +
                             std::to_string(num_partitions));
@@ -267,6 +267,9 @@ Status Shuffle::Partition(int num_partitions, Scheduler* scheduler,
           : nullptr;
   std::vector<Status> sort_status(r);
   auto sort_partition = [&](size_t p) {
+    // An unowned partition is another shard's to sort — and to consult
+    // the fault site for, so each sort attempt is counted once.
+    if (owned && !owned(p)) return;
     std::vector<RecordRef>& refs = partitions_[p];
     // The one sort of the shuffle, cached here — ForEachGroup never
     // re-sorts. KeyLess breaks key ties by (task, emission), so plain

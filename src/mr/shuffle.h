@@ -54,6 +54,11 @@ struct ShuffleTaskIo {
   uint64_t fingerprint_collisions = 0;  ///< distinct keys, equal fingerprint
 };
 
+/// Ownership predicate over map-task / reduce-partition indices: an
+/// execution only runs the units the predicate accepts. Empty = owns
+/// everything (single-process execution).
+using OwnedFn = std::function<bool(size_t)>;
+
 class Shuffle {
  public:
   /// `pack_messages`: group values by key within each map task.
@@ -128,17 +133,19 @@ class Shuffle {
   Result<ShuffleTaskIo> AddTaskOutput(size_t task, MapOutputBuffer buffer);
 
   /// Hash-partitions every ingested record by fingerprint into
-  /// `num_partitions` reduce partitions and sorts each partition's index
-  /// array once by key. Must be called once, after all AddTaskOutput
-  /// calls. `scheduler` parallelizes bucketing and sorting (nullptr =
-  /// sequential); `ctx` sets the priority/metrics of those morsels and
-  /// carries the cancellation token (polled between phases) and fault
-  /// injector. An injected kShuffleSort fault re-sorts the partition (an
-  /// idempotent retry, counted in `counters`) up to `max_retries` times
-  /// before escalating.
+  /// `num_partitions` reduce partitions and sorts the `owned` partitions'
+  /// index arrays once by key; the others are left unsorted, for a shard
+  /// that reduces only its own (DESIGN.md §13). Must be called once,
+  /// after all AddTaskOutput calls. `scheduler` parallelizes bucketing
+  /// and sorting (nullptr = sequential); `ctx` sets the priority/metrics
+  /// of those morsels and carries the cancellation token (polled between
+  /// phases) and fault injector. An injected kShuffleSort fault re-sorts
+  /// the partition (an idempotent retry, counted in `counters`) up to
+  /// `max_retries` times before escalating.
   Status Partition(int num_partitions, Scheduler* scheduler = nullptr,
                    const SchedContext& ctx = {}, uint32_t max_retries = 0,
-                   RetryCounters* counters = nullptr);
+                   RetryCounters* counters = nullptr,
+                   const OwnedFn& owned = {});
 
   int num_partitions() const { return num_partitions_; }
 

@@ -29,11 +29,9 @@ struct InputStats {
   int num_map_tasks = 0;     ///< m_i
 };
 
-/// The counters a job accumulates that shards sum (DESIGN.md §2). Each
-/// is declared once, here, and ForEachField is their one enumeration:
-/// operator+= sums jobs into a program or query total, and a sharded
-/// worker ships exactly this set in its kJobStats frame
-/// (dist::EncodeJobCounters). Every field is 8 bytes wide.
+/// The counters a job accumulates (DESIGN.md §2). Each is declared once,
+/// here, and ForEachField is their one enumeration: operator+= sums jobs
+/// into a program or query total. Every field is 8 bytes wide.
 struct JobCounters {
   double hdfs_read_mb = 0.0;
   /// Communication: mapper -> reducer bytes, measured once on the map
@@ -51,10 +49,8 @@ struct JobCounters {
   /// purely diagnostic for hash quality.
   uint64_t fingerprint_collisions = 0;
   /// Always 0: map-side combiners were removed (DESIGN.md §5.1). Kept
-  /// because the repository benchmark reads `combined_messages` by name,
-  /// and dropping `combined_mb` would change the kJobStats wire frame.
+  /// because the repository benchmark reads `combined_messages` by name.
   uint64_t combined_messages = 0;
-  double combined_mb = 0.0;
   uint64_t filtered_messages = 0; ///< emissions suppressed by Bloom filters
 
   // ---- Fault-tolerance counters (DESIGN.md §11) ----
@@ -72,7 +68,6 @@ struct JobCounters {
     f(&JobCounters::shuffle_messages);
     f(&JobCounters::fingerprint_collisions);
     f(&JobCounters::combined_messages);
-    f(&JobCounters::combined_mb);
     f(&JobCounters::filtered_messages);
     f(&JobCounters::task_retries);
     f(&JobCounters::faults_injected);
@@ -101,7 +96,7 @@ struct JobStats : JobCounters {
 
   // ---- Distribution (DESIGN.md §13) ----
   /// Real bytes this job pushed through the shard transport (shuffle
-  /// chunks, control frames, output fragments), summed across shards.
+  /// chunks, control frames, epilogues), summed across shards.
   /// Unlike shuffle_mb these are raw frame MB, not represented MB:
   /// they measure the wire format itself. 0 in single-process runs.
   double dist_wire_mb = 0.0;

@@ -22,7 +22,6 @@ struct CompiledStep {
   // are dead weight for both polarities (the reducer only emits
   // requests), so assert-side filtering is always on.
   bool request_filter = false;
-  double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
 
 class ChainMapper : public mr::Mapper {
@@ -152,7 +151,6 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
     compiled->select = KeyProjection::Of(step.guard, step.select_vars);
   }
   compiled->request_filter = options.bloom_filters && step.positive;
-  compiled->filter_fpp = options.filter_fpp;
 
   mr::JobSpec spec;
   spec.name = job_name;
@@ -191,9 +189,9 @@ Result<mr::JobSpec> BuildChainStepJob(const ChainStepSpec& step,
       mr::FilterPlan plan;
       // Slot 0 stays empty (zero bytes) on anti-join steps.
       plan.filters.Add(c.request_filter
-                           ? mr::BloomFilter(rels[1]->size(), c.filter_fpp)
+                           ? mr::BloomFilter(rels[1]->size())
                            : mr::BloomFilter());
-      plan.filters.Add(mr::BloomFilter(rels[0]->size(), c.filter_fpp));
+      plan.filters.Add(mr::BloomFilter(rels[0]->size()));
       if (c.request_filter) {
         plan.passes.push_back(
             {0, 1,

@@ -43,9 +43,6 @@ struct CompiledMsj {
   std::vector<std::vector<Assert>> asserts_of_input;
   size_t num_conditions = 0;
   bool tuple_id_refs = true;
-  // Bloom pre-filtering (DESIGN.md §5.2): one filter per condition id
-  // (conditions sharing a signature share a filter, like Asserts).
-  double filter_fpp = mr::BloomFilter::kDefaultFpp;
 };
 
 class MsjMapper : public mr::Mapper {
@@ -286,7 +283,6 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
   // can carry — the reducer only ever emits Requests, so such Asserts are
   // dead weight).
   if (options.bloom_filters) {
-    compiled->filter_fpp = options.filter_fpp;
     spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
         -> Result<mr::FilterPlan> {
       const size_t nc = compiled->num_conditions;
@@ -309,7 +305,7 @@ Result<mr::JobSpec> BuildMsjJob(const std::vector<SemiJoinEquation>& equations,
       }
       mr::FilterPlan plan;
       for (size_t f = 0; f < 2 * nc; ++f) {
-        plan.filters.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
+        plan.filters.Add(mr::BloomFilter(expected[f]));
       }
       // Conditional keys once per distinct condition id (equations
       // sharing a signature would insert the same keys twice); guard keys

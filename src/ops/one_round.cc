@@ -63,7 +63,6 @@ struct CompiledOneRound {
   };
   std::vector<Task> tasks;
   size_t num_filters = 0;
-  double filter_fpp = mr::BloomFilter::kDefaultFpp;
   // One Assert emitter of an input: the first atom routed from the input
   // to a (task, group, condition id). Atoms sharing a condition id share
   // the signature, so they conform and project identically and assert
@@ -415,7 +414,6 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
   spec.reducer_factory = [compiled] {
     return std::make_unique<OneRoundReducer>(compiled);
   };
-  compiled->filter_fpp = options.filter_fpp;
   if (options.bloom_filters && compiled->num_filters > 0) {
     spec.filter_builder = [compiled](const std::vector<const Relation*>& rels)
         -> Result<mr::FilterPlan> {
@@ -439,7 +437,7 @@ Result<mr::JobSpec> BuildOneRoundJob(const std::vector<OneRoundTask>& tasks,
       }
       mr::FilterPlan plan;
       for (size_t f = 0; f < compiled->num_filters; ++f) {
-        plan.filters.Add(mr::BloomFilter(expected[f], compiled->filter_fpp));
+        plan.filters.Add(mr::BloomFilter(expected[f]));
       }
       for (size_t i = 0; i < rels.size(); ++i) {
         // Request filters: one pass per route (routes are already one per

@@ -16,13 +16,9 @@ struct OpOptions {
   bool pack_messages = true;
   /// Bloom-filtered semi-join requests (DESIGN.md §5.2): guard tuples
   /// whose join key provably has no conditional match never emit a
-  /// Request. Per-operator eligibility rules in docs/operators.md.
+  /// Request. Per-operator eligibility rules in docs/operators.md. The
+  /// filters are sized for mr::BloomFilter::kDefaultFpp.
   bool bloom_filters = true;
-  /// Target false-positive probability of the key filters. 5% (~6.2
-  /// bits/key) balances filter broadcast bytes against the shuffled
-  /// bytes saved at the paper's 100M-key relations; DESIGN.md §5.2 gives
-  /// the sizing math and §5.3 the broadcast accounting.
-  double filter_fpp = 0.05;
 };
 
 /// Applies the GUMBO_DISABLE_FILTERS environment override (any non-empty

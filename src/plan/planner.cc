@@ -72,6 +72,10 @@ Result<Strategy> StrategyFromName(const std::string& name) {
 
 namespace {
 
+// The OPT strategies' brute-force grouping limit: a batch of more
+// equations fails to plan under OPT instead of enumerating its partitions.
+constexpr size_t kOptMaxEquations = 10;
+
 // Planning context threaded through batch planners.
 struct PlanContext {
   PlanContext(const sgf::SgfQuery& q, const Database& d,
@@ -218,7 +222,7 @@ Status PlanBatchPartitioned(const std::vector<size_t>& batch,
       if (strategy == Strategy::kOpt) {
         GUMBO_ASSIGN_OR_RETURN(
             grouping, OptimalGrouping(eqs, ctx->options->op, ctx->estimator,
-                                      ctx->options->opt_max_n));
+                                      kOptMaxEquations));
       } else {
         GUMBO_ASSIGN_OR_RETURN(grouping,
                                GreedyBsgfGrouping(eqs, ctx->options->op,

@@ -50,7 +50,6 @@ struct PlannerOptions {
   ops::OpOptions op;  ///< packing / tuple-id toggles (§5.1 opts (1),(2))
   cost::CostModelVariant cost_variant = cost::CostModelVariant::kGumbo;
   size_t sample_size = 1024;  ///< map-sampling size for cost estimation
-  size_t opt_max_n = 10;      ///< brute-force grouping limit
   /// Optional learned observed/estimated correction factors (DESIGN.md
   /// §10). Non-owning; must outlive the planner. Null or empty store =
   /// the uncalibrated paper model, byte for byte.

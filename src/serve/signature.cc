@@ -88,12 +88,10 @@ std::string PlannerFingerprint(const plan::PlannerOptions& options) {
   // it builds (DESIGN.md §5.4); the fingerprint must see the same
   // effective options or a cached plan could outlive a knob flip.
   const ops::OpOptions op = ops::ApplyEnvOverrides(options.op);
-  return StrFormat("%s|tid=%d|pack=%d|bloom=%d|fpp=%g|cv=%d|ss=%zu|on=%zu",
+  return StrFormat("%s|tid=%d|pack=%d|bloom=%d|cv=%d|ss=%zu",
                    plan::StrategyName(options.strategy), op.tuple_id_refs ? 1 : 0,
                    op.pack_messages ? 1 : 0, op.bloom_filters ? 1 : 0,
-                   op.filter_fpp,
-                   static_cast<int>(options.cost_variant), options.sample_size,
-                   options.opt_max_n);
+                   static_cast<int>(options.cost_variant), options.sample_size);
 }
 
 std::string PlanCacheKey(const sgf::SgfQuery& query,

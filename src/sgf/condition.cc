@@ -1,7 +1,5 @@
 #include "sgf/condition.h"
 
-#include <cassert>
-
 namespace gumbo::sgf {
 
 ConditionPtr Condition::MakeAtom(size_t atom_index) {
@@ -32,24 +30,6 @@ ConditionPtr Condition::MakeNot(ConditionPtr child) {
   c->kind_ = Kind::kNot;
   c->lhs_ = std::move(child);
   return c;
-}
-
-ConditionPtr Condition::MakeAndAll(std::vector<ConditionPtr> operands) {
-  assert(!operands.empty());
-  ConditionPtr acc = std::move(operands[0]);
-  for (size_t i = 1; i < operands.size(); ++i) {
-    acc = MakeAnd(std::move(acc), std::move(operands[i]));
-  }
-  return acc;
-}
-
-ConditionPtr Condition::MakeOrAll(std::vector<ConditionPtr> operands) {
-  assert(!operands.empty());
-  ConditionPtr acc = std::move(operands[0]);
-  for (size_t i = 1; i < operands.size(); ++i) {
-    acc = MakeOr(std::move(acc), std::move(operands[i]));
-  }
-  return acc;
 }
 
 ConditionPtr Condition::Clone() const {
@@ -95,12 +75,6 @@ void Condition::CollectAtomIndices(std::vector<size_t>* out) const {
       lhs_->CollectAtomIndices(out);
       return;
   }
-}
-
-size_t Condition::LeafCount() const {
-  std::vector<size_t> idx;
-  CollectAtomIndices(&idx);
-  return idx.size();
 }
 
 bool Condition::IsDisjunctionOfLiterals() const {

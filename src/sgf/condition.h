@@ -26,10 +26,6 @@ class Condition {
   static ConditionPtr MakeOr(ConditionPtr lhs, ConditionPtr rhs);
   static ConditionPtr MakeNot(ConditionPtr child);
 
-  /// N-ary conveniences; require at least one operand.
-  static ConditionPtr MakeAndAll(std::vector<ConditionPtr> operands);
-  static ConditionPtr MakeOrAll(std::vector<ConditionPtr> operands);
-
   Kind kind() const { return kind_; }
   size_t atom_index() const { return atom_index_; }
   const Condition* lhs() const { return lhs_.get(); }
@@ -46,9 +42,6 @@ class Condition {
   /// Appends all atom indices in this subtree (with repetition, in
   /// left-to-right order).
   void CollectAtomIndices(std::vector<size_t>* out) const;
-
-  /// Number of atom leaves (with repetition).
-  size_t LeafCount() const;
 
   /// True if the condition is a disjunction of literals (atoms or negated
   /// atoms) — the class of conditions the 1-ROUND fused job supports even

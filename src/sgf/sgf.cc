@@ -78,18 +78,6 @@ std::vector<std::string> SgfQuery::BaseRelations() const {
   return out;
 }
 
-std::vector<std::string> SgfQuery::SinkNames() const {
-  std::set<std::string> consumed;
-  for (const auto& q : subqueries_) {
-    for (const std::string& rel : q.InputRelations()) consumed.insert(rel);
-  }
-  std::vector<std::string> out;
-  for (const auto& q : subqueries_) {
-    if (consumed.count(q.output()) == 0) out.push_back(q.output());
-  }
-  return out;
-}
-
 std::string SgfQuery::ToString(const Dictionary* dict) const {
   std::string out;
   for (const auto& q : subqueries_) {

@@ -61,10 +61,6 @@ class SgfQuery {
   /// Base (non-produced) relation names read anywhere in the query.
   std::vector<std::string> BaseRelations() const;
 
-  /// Output names that no later subquery consumes — the query's sinks.
-  /// For a single SGF query in paper form, this is {Z_n}.
-  std::vector<std::string> SinkNames() const;
-
   std::string ToString(const Dictionary* dict = nullptr) const;
 
  private:

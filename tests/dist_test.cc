@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -22,6 +23,7 @@
 
 #include "common/cancel.h"
 #include "common/dictionary.h"
+#include "common/fault.h"
 #include "data/workloads.h"
 #include "dist/cluster.h"
 #include "dist/sharded.h"
@@ -55,24 +57,24 @@ TEST(WireTest, FrameRoundTripsTypedFields) {
   const std::vector<uint64_t> words = {1, 2, 3};
   w.Words(words.data(), words.size());
   const std::vector<uint8_t> frame =
-      w.Finish(FrameType::kJobStats, /*src_shard=*/3, /*aux=*/9);
+      w.Finish(FrameType::kEpilogue, /*src_shard=*/3, /*aux=*/9);
   EXPECT_EQ(w.body_bytes(), 0u);  // writer reusable after Finish
 
   auto rd = FrameReader::Parse(frame);
   ASSERT_OK(rd);
-  EXPECT_EQ(rd->type(), FrameType::kJobStats);
+  EXPECT_EQ(rd->type(), FrameType::kEpilogue);
   EXPECT_EQ(rd->src_shard(), 3u);
   EXPECT_EQ(rd->aux(), 9u);
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   double f64 = 0.0;
   std::string s;
-  std::vector<uint64_t> back;
+  std::vector<uint64_t> back(words.size());
   ASSERT_OK(rd->ReadU32(&u32));
   ASSERT_OK(rd->ReadU64(&u64));
   ASSERT_OK(rd->ReadF64(&f64));
   ASSERT_OK(rd->ReadStr(&s));
-  ASSERT_OK(rd->ReadWords(words.size(), &back));
+  for (uint64_t& word : back) ASSERT_OK(rd->ReadU64(&word));
   EXPECT_EQ(u32, 7u);
   EXPECT_EQ(u64, 0xDEADBEEFCAFEF00DULL);
   EXPECT_EQ(f64, -1234.5);
@@ -239,6 +241,36 @@ TEST(WireTest, RejectsRowCountsTheBodyCannotHold) {
   }
 }
 
+// A checksum-valid row block whose first stored fingerprint is not its
+// row's hash fails with ParseError in every build type, instead of
+// entering an arena whose lookups would then miss the row.
+TEST(WireTest, RejectsRowsWhoseFingerprintIsNotTheirHash) {
+  const Relation rel = MakeRelation("r", 2, {{1, 2}, {3, -4}});
+  for (const uint64_t delta : {uint64_t{0}, uint64_t{1}}) {
+    SCOPED_TRACE(delta);
+    FrameWriter w;
+    w.Str("r");
+    w.U32(2);
+    w.F64(0.0);
+    w.F64(1.0);
+    w.U64(1);
+    w.Words(rel.words().data(), 2);
+    w.U64(rel.fingerprint(0) + delta);
+    const std::vector<uint8_t> frame = w.Finish(FrameType::kRelation, 0);
+    auto rd = FrameReader::Parse(frame);
+    ASSERT_OK(rd);
+    auto back = DecodeRelationBody(&*rd);
+    if (delta == 0) {
+      ASSERT_OK(back);
+      EXPECT_EQ(back->fingerprints(),
+                std::vector<uint64_t>{rel.fingerprint(0)});
+    } else {
+      ASSERT_FALSE(back.ok());
+      EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+    }
+  }
+}
+
 TEST(WireTest, ErrorFrameCarriesStatus) {
   const Status s = Status::Unavailable("shard 2 lost its replica");
   const std::vector<uint8_t> frame = EncodeErrorFrame(s, /*src=*/2);
@@ -249,55 +281,6 @@ TEST(WireTest, ErrorFrameCarriesStatus) {
   EXPECT_EQ(back.code(), StatusCode::kUnavailable);
   EXPECT_NE(back.ToString().find("shard 2 lost its replica"),
             std::string::npos);
-}
-
-// The kJobStats counter block: every mr::JobCounters field survives the
-// codec and is summed by +=. A field left out of ForEachField would
-// stay zero below and fail the word scan.
-TEST(WireTest, JobCountersRoundTripEveryField) {
-  static_assert(std::is_trivially_copyable_v<mr::JobCounters>);
-  mr::JobCounters c;
-  uint64_t next = 1;
-  mr::JobCounters::ForEachField([&](auto field) {
-    using T = std::remove_reference_t<decltype(c.*field)>;
-    if constexpr (std::is_floating_point_v<T>) {
-      c.*field = static_cast<T>(next) + 0.5;
-    } else {
-      c.*field = next;
-    }
-    ++next;
-  });
-  for (size_t off = 0; off < sizeof(c); off += sizeof(uint64_t)) {
-    uint64_t word = 0;
-    std::memcpy(&word, reinterpret_cast<const uint8_t*>(&c) + off,
-                sizeof(word));
-    EXPECT_NE(word, 0u) << "the field at byte " << off
-                        << " is missing from ForEachField";
-  }
-
-  FrameWriter w;
-  EncodeJobCounters(c, &w);
-  const std::vector<uint8_t> frame = w.Finish(FrameType::kJobStats, 1);
-  auto rd = FrameReader::Parse(frame);
-  ASSERT_OK(rd);
-  mr::JobCounters back;
-  ASSERT_OK(DecodeJobCounters(&*rd, &back));
-  EXPECT_EQ(rd->remaining(), 0u);
-  mr::JobCounters twice = c;
-  twice += c;
-  mr::JobCounters::ForEachField([&](auto field) {
-    EXPECT_EQ(back.*field, c.*field);
-    EXPECT_EQ(twice.*field, c.*field * 2);
-  });
-
-  // A body too short for the block fails with a typed error.
-  FrameWriter empty;
-  const std::vector<uint8_t> short_frame =
-      empty.Finish(FrameType::kJobStats, 1);
-  auto short_rd = FrameReader::Parse(short_frame);
-  ASSERT_OK(short_rd);
-  EXPECT_EQ(DecodeJobCounters(&*short_rd, &back).code(),
-            StatusCode::kParseError);
 }
 
 // ---- Shuffle export / import ------------------------------------------------
@@ -516,8 +499,11 @@ using OutputBytes =
     std::map<std::string,
              std::pair<std::vector<uint64_t>, std::vector<uint64_t>>>;
 
+// Runs workload `wl` at `local_shards` shards under `faults` (none when
+// null) and returns its outputs; `metrics`, when set, receives the run's.
 OutputBytes RunWorkload(const std::string& wl, int local_shards,
-                        double* dist_wire_mb = nullptr) {
+                        plan::Metrics* metrics = nullptr,
+                        const FaultInjector* faults = nullptr) {
   OutputBytes out;
   auto w = SmallWorkload(wl);
   EXPECT_OK(w);
@@ -530,11 +516,12 @@ OutputBytes RunWorkload(const std::string& wl, int local_shards,
   mr::Engine engine(config);
   plan::ExecutionContext ectx;
   ectx.local_shards = local_shards;
+  ectx.sched.faults = faults;
   auto result =
       plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &w->db, ectx);
   EXPECT_OK(result);
   if (!result.ok()) return out;
-  if (dist_wire_mb != nullptr) *dist_wire_mb = result->metrics.dist_wire_mb;
+  if (metrics != nullptr) *metrics = result->metrics;
   for (const auto& q : w->query.subqueries()) {
     auto rel = w->db.Get(q.output());
     EXPECT_OK(rel);
@@ -550,19 +537,51 @@ TEST(ShardedTest, ByteIdenticalToSingleProcessAtAnyShardCount) {
     ASSERT_FALSE(reference.empty()) << wl;
     for (const int shards : {2, 3, 4}) {
       SCOPED_TRACE(wl + " at " + std::to_string(shards) + " shards");
-      double wire_mb = 0.0;
-      const OutputBytes sharded = RunWorkload(wl, shards, &wire_mb);
+      plan::Metrics metrics;
+      const OutputBytes sharded = RunWorkload(wl, shards, &metrics);
       EXPECT_EQ(sharded, reference);
       // Real frames crossed the (in-process) wire and were charged.
-      EXPECT_GT(wire_mb, 0.0);
+      EXPECT_GT(metrics.dist_wire_mb, 0.0);
     }
   }
 }
 
 TEST(ShardedTest, SingleShardChargesNoWireBytes) {
-  double wire_mb = -1.0;
-  RunWorkload("A1", /*local_shards=*/1, &wire_mb);
-  EXPECT_EQ(wire_mb, 0.0);
+  plan::Metrics metrics;
+  metrics.dist_wire_mb = -1.0;
+  RunWorkload("A1", /*local_shards=*/1, &metrics);
+  EXPECT_EQ(metrics.dist_wire_mb, 0.0);
+}
+
+// Each engine fault site fires as often at any shard count as in one
+// process: a shard consults a site only for the map tasks, partition
+// sorts and reduce partitions it owns. Under the same seeded injector
+// the outputs stay byte-identical to the fault-free run, and the merged
+// task_retries and faults_injected equal the single-process run's.
+TEST(ShardedTest, FaultCountsMatchSingleProcess) {
+  for (const FaultSite site :
+       {FaultSite::kMapScan, FaultSite::kShuffleSort, FaultSite::kReduceEmit}) {
+    const uint32_t mask = 1u << static_cast<int>(site);
+    for (const std::string wl : {"A1", "A3", "B1"}) {
+      SCOPED_TRACE(wl + " at site " + FaultSiteName(site));
+      const OutputBytes clean = RunWorkload(wl, /*local_shards=*/1);
+      ASSERT_FALSE(clean.empty());
+      plan::Metrics single;
+      {
+        const FaultInjector faults(11, 0.2, mask);
+        EXPECT_EQ(RunWorkload(wl, 1, &single, &faults), clean);
+      }
+      EXPECT_GT(single.faults_injected, 0u);
+      for (const int shards : {2, 3}) {
+        SCOPED_TRACE(std::to_string(shards) + " shards");
+        const FaultInjector faults(11, 0.2, mask);
+        plan::Metrics sharded;
+        EXPECT_EQ(RunWorkload(wl, shards, &sharded, &faults), clean);
+        EXPECT_EQ(sharded.task_retries, single.task_retries);
+        EXPECT_EQ(sharded.faults_injected, single.faults_injected);
+      }
+    }
+  }
 }
 
 // The coordinator's merged job stats equal the single-process run's,
@@ -638,7 +657,9 @@ TEST(ShardedTest, ShardStatsMatchSingleProcess) {
 }
 
 // ExecutionContext's cluster branch (a borrowed Cluster handle, the path
-// the worker binary takes) must behave exactly like local_shards.
+// the worker binary takes) must behave exactly like local_shards. Every
+// shard ends with the same outputs and bit-identical ProgramStats: the
+// per-job counters, cost slots and wire charge, total and net time.
 TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
   const OutputBytes reference = RunWorkload("A3", /*local_shards=*/1);
   ASSERT_FALSE(reference.empty());
@@ -646,6 +667,7 @@ TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
   const int shards = 3;
   InProcTransport tp(shards);
   std::vector<std::optional<OutputBytes>> results(shards);
+  std::vector<mr::ProgramStats> stats(shards);
   std::vector<std::thread> threads;
   for (int s = 0; s < shards; ++s) {
     threads.emplace_back([&, s] {
@@ -662,6 +684,7 @@ TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
       auto result =
           plan::ExecutePlanOnSnapshot(*plan, &engine, w->db, &w->db, ectx);
       ASSERT_OK(result);
+      stats[s] = result->stats;
       OutputBytes out;
       for (const auto& q : w->query.subqueries()) {
         auto rel = w->db.Get(q.output());
@@ -672,22 +695,48 @@ TEST(ShardedTest, ExplicitClusterMatchesLocalHarness) {
     });
   }
   for (std::thread& t : threads) t.join();
-  // Every replica — coordinator and workers — committed the same bytes.
+  // Every replica committed the same bytes.
   for (int s = 0; s < shards; ++s) {
     ASSERT_TRUE(results[s].has_value()) << "shard " << s;
     EXPECT_EQ(*results[s], reference) << "shard " << s;
   }
+  // Every replica holds the same merged accounting, bit for bit.
+  const mr::ProgramStats& want = stats[0];
+  ASSERT_FALSE(want.jobs.empty());
+  for (int s = 1; s < shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const mr::ProgramStats& got = stats[s];
+    ASSERT_EQ(got.jobs.size(), want.jobs.size());
+    for (size_t j = 0; j < want.jobs.size(); ++j) {
+      SCOPED_TRACE("job " + std::to_string(j));
+      const mr::JobStats& a = got.jobs[j];
+      const mr::JobStats& b = want.jobs[j];
+      mr::JobCounters::ForEachField(
+          [&](auto field) { EXPECT_EQ(a.*field, b.*field); });
+      EXPECT_EQ(a.map_task_costs, b.map_task_costs);
+      EXPECT_EQ(a.reduce_task_costs, b.reduce_task_costs);
+      EXPECT_EQ(a.num_reducers, b.num_reducers);
+      EXPECT_EQ(a.dist_wire_mb, b.dist_wire_mb);
+      EXPECT_EQ(a.dist_cost, b.dist_cost);
+      EXPECT_GT(a.dist_wire_mb, 0.0);
+    }
+    EXPECT_EQ(got.total_time, want.total_time);
+    EXPECT_EQ(got.net_time, want.net_time);
+  }
 }
 
-// An in-process transport whose shard 1 fails its first Send, with every
-// Recv capped at 20 s: a shard left waiting on the failed peer shows up
-// as a late DeadlineExceeded instead of the injected status.
+// An in-process transport whose shard 1 fails its first Send — or its
+// first Send of frame type `only`, when set — with every Recv capped at
+// 20 s: a shard left waiting on the failed peer shows up as a late
+// DeadlineExceeded instead of the injected status.
 class FailFirstSendTransport : public Transport {
  public:
-  explicit FailFirstSendTransport(int endpoints) : inner_(endpoints) {}
+  FailFirstSendTransport(int endpoints, std::optional<FrameType> only)
+      : inner_(endpoints), only_(only) {}
 
   Status Send(int from, int to, std::vector<uint8_t> frame) override {
-    if (from == 1 && !failed_.exchange(true)) {
+    if (from == 1 && (!only_ || TypeOf(frame) == *only_) &&
+        !failed_.exchange(true)) {
       return Status::Unavailable("injected send failure");
     }
     return inner_.Send(from, to, std::move(frame));
@@ -700,14 +749,21 @@ class FailFirstSendTransport : public Transport {
   const char* name() const override { return "fail-first-send"; }
 
  private:
+  static FrameType TypeOf(const std::vector<uint8_t>& frame) {
+    auto rd = FrameReader::Parse(frame);
+    return rd.ok() ? rd->type() : FrameType::kError;
+  }
+
   InProcTransport inner_;
+  const std::optional<FrameType> only_;
   std::atomic<bool> failed_{false};
 };
 
 // One shard's failure reaches every peer as a kError frame: each shard
 // returns the injected status itself, well inside the Recv timeout —
-// including, at 3 shards, the one that was waiting on the coordinator
-// rather than on the failed shard.
+// including, at 3 shards, the one that was not waiting on the failed
+// shard. Shard 1 fails its first send (a kMapStats frame) or, after the
+// job's shuffle, its first epilogue send.
 TEST(ShardedTest, FailingShardUnwindsEveryPeerPromptly) {
   auto w = SmallWorkload("A1");
   ASSERT_OK(w);
@@ -716,33 +772,38 @@ TEST(ShardedTest, FailingShardUnwindsEveryPeerPromptly) {
   auto plan = planner.Plan(w->query, w->db);
   ASSERT_OK(plan);
   mr::Engine engine(config);
-  for (const int shards : {2, 3}) {
-    SCOPED_TRACE(std::to_string(shards) + " shards");
-    FailFirstSendTransport tp(shards);
-    std::vector<Status> status(shards, Status::Ok());
-    std::vector<double> elapsed_ms(shards, 0.0);
-    std::vector<std::thread> threads;
-    for (int s = 0; s < shards; ++s) {
-      threads.emplace_back([&, s] {
-        Cluster cluster{&tp, s, shards};
-        plan::ExecutionContext ectx;
-        ectx.cluster = &cluster;
-        Database outputs;
-        const auto start = std::chrono::steady_clock::now();
-        status[s] = plan::ExecutePlanOnSnapshot(*plan, &engine, w->db,
-                                                &outputs, ectx)
-                        .status();
-        elapsed_ms[s] = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (int s = 0; s < shards; ++s) {
-      EXPECT_EQ(status[s].code(), StatusCode::kUnavailable)
-          << "shard " << s << ": " << status[s].ToString();
-      EXPECT_EQ(status[s].message(), "injected send failure") << "shard " << s;
-      EXPECT_LT(elapsed_ms[s], 5000.0) << "shard " << s;
+  for (const std::optional<FrameType> only :
+       {std::optional<FrameType>(), std::optional(FrameType::kEpilogue)}) {
+    for (const int shards : {2, 3}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, failing " +
+                   (only ? "the first epilogue send" : "the first send"));
+      FailFirstSendTransport tp(shards, only);
+      std::vector<Status> status(shards, Status::Ok());
+      std::vector<double> elapsed_ms(shards, 0.0);
+      std::vector<std::thread> threads;
+      for (int s = 0; s < shards; ++s) {
+        threads.emplace_back([&, s] {
+          Cluster cluster{&tp, s, shards};
+          plan::ExecutionContext ectx;
+          ectx.cluster = &cluster;
+          Database outputs;
+          const auto start = std::chrono::steady_clock::now();
+          status[s] = plan::ExecutePlanOnSnapshot(*plan, &engine, w->db,
+                                                  &outputs, ectx)
+                          .status();
+          elapsed_ms[s] = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      for (int s = 0; s < shards; ++s) {
+        EXPECT_EQ(status[s].code(), StatusCode::kUnavailable)
+            << "shard " << s << ": " << status[s].ToString();
+        EXPECT_EQ(status[s].message(), "injected send failure")
+            << "shard " << s;
+        EXPECT_LT(elapsed_ms[s], 5000.0) << "shard " << s;
+      }
     }
   }
 }

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "mr/engine.h"
@@ -391,6 +393,35 @@ TEST(EngineTest, FilterBuilderAttachesAndAccounts) {
   EXPECT_GT(stats->filter_broadcast_mb, 0.0);
   EXPECT_GT(stats->filter_build_cost, 0.0);
   EXPECT_GE(db.Get("Out").value()->size(), 50u);  // evens always survive
+}
+
+// ForEachField enumerates every mr::JobCounters field, and += sums each
+// one: a field left out of ForEachField would stay zero below and fail
+// the word scan, and would be dropped from every program and query sum.
+TEST(JobCountersTest, ForEachFieldCoversEveryField) {
+  static_assert(std::is_trivially_copyable_v<JobCounters>);
+  JobCounters c;
+  uint64_t next = 1;
+  JobCounters::ForEachField([&](auto field) {
+    using T = std::remove_reference_t<decltype(c.*field)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      c.*field = static_cast<T>(next) + 0.5;
+    } else {
+      c.*field = next;
+    }
+    ++next;
+  });
+  for (size_t off = 0; off < sizeof(c); off += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, reinterpret_cast<const uint8_t*>(&c) + off,
+                sizeof(word));
+    EXPECT_NE(word, 0u) << "the field at byte " << off
+                        << " is missing from ForEachField";
+  }
+  JobCounters twice = c;
+  twice += c;
+  JobCounters::ForEachField(
+      [&](auto field) { EXPECT_EQ(twice.*field, c.*field * 2); });
 }
 
 TEST(ProgramTest, RoundsIsLongestChain) {
